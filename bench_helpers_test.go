@@ -1,10 +1,33 @@
 package sparcs_test
 
 import (
+	"fmt"
+
+	"sparcs"
 	"sparcs/internal/behav"
 	"sparcs/internal/taskgraph"
 	"sparcs/internal/xc4000"
 )
+
+// runFFTCaseStudy is the Section 5 flow through the System API: build
+// the FFT system, run it under opts over the seeded input image, and
+// verify the output image against the fixed-point reference.
+func runFFTCaseStudy(tiles int, opts ...sparcs.RunOption) (*sparcs.System, *sparcs.Result, error) {
+	sys, err := sparcs.FFTSystem(tiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	mem := sparcs.NewMemory()
+	in := sparcs.LoadFFTInput(mem, tiles, 42)
+	res, err := sys.Run(append(opts, sparcs.WithMemory(mem))...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := sparcs.CheckFFTOutput(mem, in); err != nil {
+		return nil, nil, fmt.Errorf("hardware output does not match the FFT reference: %w", err)
+	}
+	return sys, res, nil
+}
 
 // table1Graph builds the Table 1 / Figure 3 channel-sharing scenario: two
 // logical channels with different source tasks that will merge onto one

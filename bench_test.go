@@ -121,24 +121,24 @@ func BenchmarkTable1SharedChannel(b *testing.B) {
 // 6 MHz), the Pentium-150 software model, and the speedup. Paper: HW 4.4 s,
 // SW 6.8 s, speedup ~1.55x.
 func BenchmarkSection5FFT(b *testing.B) {
-	var cs *sparcs.FFTCaseStudy
+	const tiles = 6
+	var res *sparcs.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		cs, err = sparcs.RunFFTCaseStudy(6)
+		_, res, err = runFFTCaseStudy(tiles, sparcs.WithCapture())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !cs.OutputOK {
-			b.Fatal("hardware output does not match the FFT reference")
-		}
-		if len(cs.Result.Violations()) != 0 {
-			b.Fatalf("violations: %v", cs.Result.Violations())
+		if len(res.Violations()) != 0 {
+			b.Fatalf("violations: %v", res.Violations())
 		}
 	}
-	b.ReportMetric(cs.HWSeconds, "hw_s")
-	b.ReportMetric(cs.SWSeconds, "sw_s")
-	b.ReportMetric(cs.Speedup, "speedup")
-	b.ReportMetric(cs.CyclesPerTile, "cycles/tile")
+	cpt := float64(res.TotalCycles) / tiles
+	hw, sw := sparcs.FFTHardwareSeconds(cpt, 512), sparcs.FFTSoftwareSeconds(512)
+	b.ReportMetric(hw, "hw_s")
+	b.ReportMetric(sw, "sw_s")
+	b.ReportMetric(sw/hw, "speedup")
+	b.ReportMetric(cpt, "cycles/tile")
 }
 
 // BenchmarkProtocolOverhead measures the Section 4.3 claim: with an
@@ -301,17 +301,15 @@ func contentionRun(pol arbiter.Policy, n, cycles int) (worst, minG, maxG float64
 				req[i] = r.Intn(4) != 0
 			}
 		}
-		g := pol.Step(req)
+		g := make([]bool, n)
+		arbiter.StepBools(pol, req, g)
 		for i := range g {
 			if g[i] {
 				grants[i]++
 				held[i]++
 			}
 		}
-		trace = append(trace, arbiter.TraceStep{
-			Req:   append([]bool(nil), req...),
-			Grant: append([]bool(nil), g...),
-		})
+		trace = append(trace, arbiter.TraceStep{Req: append([]bool(nil), req...), Grant: g})
 	}
 	w := 0
 	for _, e := range arbiter.MaxWaitEpisodes(n, trace) {
@@ -371,14 +369,13 @@ func BenchmarkSimFFTStage(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
-// BenchmarkSimSweep measures the parallel sweep runner: GOMAXPROCS
-// workers fanning independent full FFT simulations (all three temporal
-// partitions each), the shape of every paper-table sweep above.
+// BenchmarkSimSweep measures the parallel sweep runner: System.Sweep
+// fanning independent full FFT simulations (all three temporal
+// partitions each) across GOMAXPROCS workers, the shape of every
+// paper-table sweep above.
 func BenchmarkSimSweep(b *testing.B) {
-	tiles := 4
-	opts := core.Options{Partition: partition.Options{FixedStages: fft.PaperStages()}}
-	g := fft.Taskgraph()
-	d, err := core.Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
+	const tiles = 4
+	sys, err := sparcs.FFTSystem(tiles)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -387,14 +384,14 @@ func BenchmarkSimSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sweep := make([]core.SweepPoint, points)
+		sweep := make([][]sparcs.RunOption, points)
 		for p := range sweep {
-			mem := sim.NewMemory()
-			fft.LoadInput(mem, tiles, int64(p))
-			sweep[p] = core.SweepPoint{Design: d, Memory: mem, Options: opts}
+			mem := sparcs.NewMemory()
+			sparcs.LoadFFTInput(mem, tiles, int64(p))
+			sweep[p] = []sparcs.RunOption{sparcs.WithMemory(mem), sparcs.WithCapture()}
 		}
 		b.StartTimer()
-		results, err := core.SimulateSweep(sweep)
+		results, err := sys.Sweep(sweep...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -496,11 +493,10 @@ func BenchmarkPreemption(b *testing.B) {
 					pol = p
 				}
 				// Task 1 never releases; tasks 2..4 wait politely.
-				req := []bool{true, true, true, true}
+				req := arbiter.Mask(n)
 				waiting := 0
 				for c := 0; c < 1000; c++ {
-					g := pol.Step(req)
-					if !g[1] && !g[2] && !g[3] {
+					if pol.StepBits(req)&^1 == 0 {
 						waiting++
 					}
 				}

@@ -160,7 +160,7 @@ func runArbbench(o arbbenchOptions) error {
 		cols[i] = workload.SpecColumn(ws)
 	}
 	if o.fftColumn {
-		col, err := sparcs.FFTMeasuredColumn(o.fftTiles, o.n, o.fftPolicy)
+		col, err := fftColumn(o.fftTiles, o.n, o.fftPolicy)
 		if err != nil {
 			return err
 		}
@@ -173,6 +173,29 @@ func runArbbench(o arbbenchOptions) error {
 	fmt.Printf("== arbitration bench: N=%d, %d cycles/cell, seed %d ==\n", o.n, o.cycles, o.seed)
 	fmt.Print(workload.FormatTable(cells))
 	return nil
+}
+
+// fftColumn runs the Section 5 FFT case study under the named policy
+// with capture on and returns the request stream of its first n-line
+// arbiter as a replayable column named "fft:<resource>" — n=6 selects
+// the paper's contended Arb6 bank. The stream is closed-loop traffic
+// shaped by the capture policy, so the policy is part of the
+// measurement.
+func fftColumn(tiles, n int, policy string) (workload.Column, error) {
+	if tiles <= 0 {
+		tiles = 6
+	}
+	sys, err := sparcs.FFTSystem(tiles)
+	if err != nil {
+		return workload.Column{}, err
+	}
+	mem := sparcs.NewMemory()
+	sparcs.LoadFFTInput(mem, tiles, 42)
+	res, err := sys.Run(sparcs.WithPolicy(policy), sparcs.WithCapture(), sparcs.WithMemory(mem))
+	if err != nil {
+		return workload.Column{}, err
+	}
+	return res.ColumnByWidth("fft", n)
 }
 
 type flowOptions struct {

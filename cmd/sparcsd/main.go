@@ -114,6 +114,16 @@ func parseClasses(s string) ([]service.Class, error) {
 	return out, nil
 }
 
+// Connection timeouts for the serve mode. A client gets readHeaderTimeout
+// to send its request headers and an idle keep-alive connection is closed
+// after idleTimeout, so slow or abandoned clients cannot pin connections.
+// Bodies and responses stay untimed: an experiment may legitimately run
+// for minutes, and the service caps body size instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func runServe(addr string, workers, queueDepth int, classSpec string, drainTimeout time.Duration, cacheCLBs int) error {
 	cls, err := parseClasses(classSpec)
 	if err != nil {
@@ -123,7 +133,7 @@ func runServe(addr string, workers, queueDepth int, classSpec string, drainTimeo
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	srv := &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"sparcs"
+	"sparcs/internal/arbiter"
 )
 
 func main() {
@@ -21,21 +22,23 @@ func main() {
 	fmt.Println("== cycle-by-cycle arbitration (R = request, G = grant) ==")
 	// Tasks 1..4 all request; each holds for two accesses then releases
 	// (the paper's M=2 protocol), then re-requests.
-	req := []bool{true, true, true, true}
+	// Request and grant vectors are words, bit i carrying task i+1.
+	req := arbiter.Mask(n)
 	held := make([]int, n)
 	for cycle := 0; cycle < 12; cycle++ {
-		grants := arb.Step(req)
+		grant := arb.StepBits(req)
 		fmt.Printf("cycle %2d  R=%s  G=%s  state=%s\n",
-			cycle, bits(req), bits(grants), arb.State())
-		for i := range req {
-			if grants[i] {
+			cycle, bits(req, n), bits(grant, n), arb.State())
+		for i := 0; i < n; i++ {
+			bit := arbiter.BitVec(1) << uint(i)
+			if grant&bit != 0 {
 				held[i]++
 			}
 			if held[i] >= 2 {
-				req[i] = false
+				req &^= bit
 				held[i] = 0
 			} else {
-				req[i] = true
+				req |= bit
 			}
 		}
 	}
@@ -91,10 +94,10 @@ func main() {
 	}
 }
 
-func bits(v []bool) string {
+func bits(v arbiter.BitVec, n int) string {
 	var b strings.Builder
-	for _, x := range v {
-		if x {
+	for i := 0; i < n; i++ {
+		if v.Bit(i) {
 			b.WriteByte('1')
 		} else {
 			b.WriteByte('0')

@@ -13,12 +13,12 @@ import (
 // calls, map writes, allocating string conversions, string
 // concatenation, or interface boxing. The walk is interprocedural and
 // devirtualizing: a call through a module-local interface
-// (arbiter.BitStepper, workload.BitGenerator, ...) fans out to every
+// (arbiter.Policy, workload.Generator, ...) fans out to every
 // implementation's method body, so allocation hiding behind dynamic
 // dispatch is caught instead of silently skipped. Calls through plain
 // function values cannot be resolved and are reported as unprovable —
-// keep cycle-rate dispatch static, or devirtualized behind a checked
-// entry point as arbiter.AsBitStepper does.
+// keep cycle-rate dispatch on interface methods such as
+// Policy.StepBits, never on stored func values.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "report allocating constructs in //sparcs:hotpath code and everything it can reach through the module call graph, interface dispatch included",

@@ -125,3 +125,59 @@ func FuzzBitVecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestStepBitsAllocationFree: every policy kind steps words without
+// allocating — the behavioral kinds at N=4, the synthesized kinds also
+// at MaxSynthN, whose lane scratch is sized at construction — and the
+// StepBools edge adapter panics on a lane-count mismatch.
+func TestStepBitsAllocationFree(t *testing.T) {
+	synth := []int{4, MaxSynthN}
+	cases := []struct {
+		spec string
+		ns   []int
+	}{
+		{"rr", []int{4}},
+		{"fifo", []int{4}},
+		{"priority", []int{4}},
+		{"random:7", []int{4}},
+		{"preemptive:2", []int{4}},
+		{"wrr:2", []int{4}},
+		{"hier:2", []int{4}},
+		{"fsm", synth},
+		{"netlist:one-hot", synth},
+		{"netlist:compact", synth},
+		{"netlist:gray", synth},
+	}
+	for _, c := range cases {
+		for _, n := range c.ns {
+			p, err := NewPolicy(c.spec, n)
+			if err != nil {
+				t.Fatalf("%s at N=%d: %v", c.spec, n, err)
+			}
+			lfsr := uint32(0xACE1)
+			var grants BitVec
+			allocs := testing.AllocsPerRun(50, func() {
+				for i := 0; i < 16; i++ {
+					lfsr = lfsr*1664525 + 1013904223
+					grants |= p.StepBits(BitVec(lfsr >> 8))
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s at N=%d: StepBits allocated %.1f times per 16 cycles", c.spec, n, allocs)
+			}
+			if grants == 0 {
+				t.Errorf("%s at N=%d: no grant issued under random requests", c.spec, n)
+			}
+		}
+	}
+	for _, lanes := range [][2]int{{3, 4}, {4, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("StepBools with %d request / %d grant lanes on a 4-line policy must panic", lanes[0], lanes[1])
+				}
+			}()
+			StepBools(NewRoundRobin(4), make([]bool, lanes[0]), make([]bool, lanes[1]))
+		}()
+	}
+}

@@ -36,7 +36,6 @@ type Hierarchical struct {
 	size   []int    // per-group line count
 	gmask  []BitVec // per-group request window (low size[g] bits)
 	leaf   []int    // per-group member offset the intra-cluster scan starts at
-	grants []bool
 }
 
 // NewHierarchical returns a tree-of-round-robins arbiter over `groups`
@@ -75,7 +74,6 @@ func NewHierarchicalWidened(members, n, groups int) (*Hierarchical, error) {
 		name:   fmt.Sprintf("hierarchical-%dx%d", groups, size),
 		mask:   Mask(n),
 		holder: -1,
-		grants: make([]bool, n),
 	}
 	for g := 0; g < groups; g++ {
 		p.addGroup(g*size, size)
@@ -111,22 +109,7 @@ func (p *Hierarchical) Reset() {
 	}
 }
 
-// Step implements Policy.
-func (p *Hierarchical) Step(req []bool) []bool {
-	p.StepInto(req, p.grants)
-	return p.grants
-}
-
-// StepInto implements InPlaceStepper with the same semantics as
-// StepBits.
-//
-//sparcs:hotpath
-func (p *Hierarchical) StepInto(req, grant []bool) {
-	checkLanes(req, grant, p.n)
-	p.StepBits(PackBools(req)).WriteBools(grant)
-}
-
-// StepBits implements BitStepper: grant a still-requesting holder,
+// StepBits implements Policy: grant a still-requesting holder,
 // otherwise scan clusters cyclically from the top pointer — each
 // cluster's request window extracted as a size-bit word and scanned
 // with the same rotate / isolate-lowest-set kernel as the flat arbiter

@@ -295,60 +295,3 @@ func TestPortabilityAcrossBoards(t *testing.T) {
 		}
 	}
 }
-
-// TestSimulateSweepMatchesSequential fans the FFT design across the
-// parallel sweep runner at several tile counts and requires each point
-// to reproduce the sequential Simulate bit for bit (total cycles,
-// violations, and verified memory output).
-func TestSimulateSweepMatchesSequential(t *testing.T) {
-	tileCounts := []int{1, 2, 3, 4}
-	var points []SweepPoint
-	var inputs [][][]int64
-	for _, tiles := range tileCounts {
-		opts := paperOpts()
-		g := fft.Taskgraph()
-		d, err := Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem := sim.NewMemory()
-		inputs = append(inputs, fft.LoadInput(mem, tiles, int64(tiles)))
-		points = append(points, SweepPoint{Design: d, Memory: mem, Options: opts})
-	}
-	results, err := SimulateSweep(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tiles := range tileCounts {
-		if len(results[i].Violations()) != 0 {
-			t.Fatalf("tiles=%d: violations %v", tiles, results[i].Violations())
-		}
-		if err := fft.CheckOutput(points[i].Memory, inputs[i]); err != nil {
-			t.Fatalf("tiles=%d: %v", tiles, err)
-		}
-		// Cross-check against a sequential rerun of the same point.
-		opts := paperOpts()
-		g := fft.Taskgraph()
-		d, err := Compile(g, rc.Wildforce(), fft.Programs(tiles), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem := sim.NewMemory()
-		fft.LoadInput(mem, tiles, int64(tiles))
-		seq, err := Simulate(d, mem, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.TotalCycles != results[i].TotalCycles {
-			t.Fatalf("tiles=%d: sweep %d cycles, sequential %d", tiles, results[i].TotalCycles, seq.TotalCycles)
-		}
-	}
-}
-
-// TestSimulateSweepEmpty: a zero-length sweep is a no-op.
-func TestSimulateSweepEmpty(t *testing.T) {
-	res, err := SimulateSweep(nil)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("res=%v err=%v", res, err)
-	}
-}

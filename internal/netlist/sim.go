@@ -151,20 +151,20 @@ func (s *Simulator) Conflicts() []Conflict { return s.conflicts }
 
 // Step applies the primary inputs (in declaration order), evaluates one
 // clock cycle, and returns the sampled primary outputs (in declaration
-// order). The output slice is freshly allocated each call; use StepInto
-// on hot paths.
+// order). The output slice is freshly allocated each call; use Clock on
+// hot paths.
 func (s *Simulator) Step(inputs []bool) ([]bool, error) {
 	result := make([]bool, len(s.n.Outputs()))
-	if err := s.StepInto(inputs, result); err != nil {
+	if err := s.Clock(inputs, result); err != nil {
 		return nil, err
 	}
 	return result, nil
 }
 
-// StepInto is Step writing the sampled outputs into the caller's slice
+// Clock is Step writing the sampled outputs into the caller's slice
 // (len(out) must equal the output count), avoiding the per-cycle result
 // allocation.
-func (s *Simulator) StepInto(inputs, out []bool) error {
+func (s *Simulator) Clock(inputs, out []bool) error {
 	ins := s.n.Inputs()
 	if len(inputs) != len(ins) {
 		//sparcs:ignore hotpath cold error path on a width mismatch

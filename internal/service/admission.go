@@ -111,7 +111,7 @@ func newAdmission(classes []Class, slots, depth int) (*admission, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.stepper = arbiter.AsBitStepper(p)
+		a.stepper = p
 	}
 	return a, nil
 }

@@ -291,10 +291,32 @@ func (s *Server) class(name string) string {
 	return name
 }
 
+// maxBodyBytes caps an experiment or sweep request body. Real bodies are
+// a few KiB even for large sweeps; the cap keeps one client from making
+// the decoder buffer an unbounded stream.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the size-capped JSON request body into v. On
+// failure it answers 413 body-too-large for an oversized body (the
+// decoder surfaces *http.MaxBytesError) or 400 bad-request for a
+// malformed one, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body-too-large", err)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad-request", err)
+	}
+	return false
+}
+
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	class := s.class(req.Class)
@@ -330,8 +352,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Experiments) == 0 {

@@ -325,6 +325,39 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: a body over maxBodyBytes is refused on both POST
+// endpoints with 413 body-too-large before any work is admitted, while a
+// normal request is still served byte-identical to OfflineResult.
+func TestRequestBodyCap(t *testing.T) {
+	s := newServer(t, Config{})
+	oversized := map[string]any{"design": "fft", "tiles": 2, "pad": strings.Repeat("x", 2<<20)}
+	for _, path := range []string{"/v1/experiments", "/v1/sweeps"} {
+		rec := post(t, s.Handler(), path, oversized)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %s", path, rec.Code, rec.Body.String())
+		}
+		var e ErrorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != "body-too-large" {
+			t.Fatalf("%s: error kind %q, want body-too-large", path, e.Kind)
+		}
+	}
+	if st := statsOf(t, s); st.Served != 0 || st.Compiles != 0 {
+		t.Fatalf("oversized bodies did work: served %d, compiles %d", st.Served, st.Compiles)
+	}
+	req := ExperimentRequest{Design: "fft", Tiles: 2}
+	offline, _, err := OfflineResult(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(t, s.Handler(), "/v1/experiments", req)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), offline) {
+		t.Fatalf("status %d: served body differs from the offline run", rec.Code)
+	}
+}
+
 // TestDrainRejectsNewWork covers the graceful-shutdown half of
 // admission: after Drain, new experiments get the typed 503 and the
 // stats report draining.

@@ -99,7 +99,8 @@ func TestToolNetlistsAreEquivalent(t *testing.T) {
 				for i := range req {
 					req[i] = r.Intn(3) != 0
 				}
-				want := beh.Step(req)
+				want := make([]bool, n)
+				arbiter.StepBools(beh, req, want)
 				got, err := sim.Step(req)
 				if err != nil {
 					t.Fatal(err)

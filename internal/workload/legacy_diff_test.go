@@ -362,9 +362,9 @@ func diffPolicySpecs(n int) []string {
 // TestBitsetMatchesLegacyGrantStreams drives every behavioral policy
 // spec against its frozen pre-bitset implementation under every default
 // workload shape at N ∈ {2, 4, 16}, through the exact word-level path
-// Drive and the simulator use (BitGenerator.NextBits feeding
-// BitStepper.StepBits), and requires bit-identical request and grant
-// words on every cycle.
+// Drive and the simulator use (Generator.NextBits feeding
+// Policy.StepBits), and requires bit-identical request and grant words
+// on every cycle.
 func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 	const cycles = 4096
 	workloads := append(DefaultWorkloads(), "silent")
@@ -379,7 +379,6 @@ func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 				if err != nil {
 					t.Fatalf("N=%d %s: %v", n, pspec, err)
 				}
-				stepper := arbiter.AsBitStepper(p)
 				gL, err := NewGenerator(wspec, n, 1)
 				if err != nil {
 					t.Fatalf("N=%d %s: %v", n, wspec, err)
@@ -387,10 +386,6 @@ func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 				gB, err := NewGenerator(wspec, n, 1)
 				if err != nil {
 					t.Fatalf("N=%d %s: %v", n, wspec, err)
-				}
-				bg, ok := gB.(BitGenerator)
-				if !ok {
-					t.Fatalf("N=%d %s: generator does not implement BitGenerator", n, wspec)
 				}
 
 				reqL := make([]bool, n)
@@ -400,10 +395,10 @@ func TestBitsetMatchesLegacyGrantStreams(t *testing.T) {
 					// Both loops are closed: the generators react to
 					// their own side's previous grant, so a divergence
 					// cannot silently re-converge.
-					gL.Next(reqL, grantL)
+					gL.NextBits(arbiter.PackBools(grantL)).WriteBools(reqL)
 					legacy.step(reqL, grantL)
-					req = bg.NextBits(grant)
-					grant = stepper.StepBits(req)
+					req = gB.NextBits(grant)
+					grant = p.StepBits(req)
 					if wantReq := arbiter.PackBools(reqL); req != wantReq {
 						t.Fatalf("N=%d %s under %s cycle %d: bitset req %064b, legacy %064b",
 							n, pspec, wspec, c, req, wantReq)

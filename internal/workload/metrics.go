@@ -214,12 +214,10 @@ func histBucket(wait int) int {
 // Drive runs generator g against policy p for the given number of
 // cycles and returns the aggregated metrics. The hot loop is
 // allocation-free and runs on single request/grant words: the generator
-// produces one BitVec per cycle (directly for BitGenerators, through
-// setup-allocated scratch otherwise), the policy steps through the
-// word-level BitStepper fast path, the online safety checks are single
-// word operations (mutual exclusion = popcount ≤ 1, grant ⊆ request =
-// grant &^ req == 0, work conservation = grant presence matches request
-// presence), and every metric (wait histogram, episode counters,
+// produces one BitVec per cycle, the policy steps it, the online safety
+// checks are single word operations (mutual exclusion = popcount ≤ 1,
+// grant ⊆ request = grant &^ req == 0, work conservation = grant
+// presence matches request presence), and every metric (wait histogram, episode counters,
 // fairness inputs) updates incrementally — no trace is recorded, so
 // multi-million-cycle runs cost O(N) memory.
 func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
@@ -240,13 +238,6 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 		Cycles:   cycles,
 		Tasks:    make([]TaskMetrics, n),
 	}
-	stepper := arbiter.AsBitStepper(p)
-	bg, bitGen := g.(BitGenerator)
-	var reqBuf, grantBuf []bool
-	if !bitGen {
-		reqBuf = make([]bool, n)
-		grantBuf = make([]bool, n)
-	}
 	var req, grant arbiter.BitVec
 	waiting := make([]bool, n)
 	waitStart := make([]int, n)
@@ -257,15 +248,8 @@ func Drive(p arbiter.Policy, g Generator, cycles int) (*Metrics, error) {
 	for cycle := 0; cycle < cycles; cycle++ {
 		// grant still holds last cycle's decision — the closed-loop
 		// feedback the generators react to.
-		if bitGen {
-			req = bg.NextBits(grant)
-		} else {
-			req.WriteBools(reqBuf)
-			grant.WriteBools(grantBuf)
-			g.Next(reqBuf, grantBuf)
-			req = arbiter.PackBools(reqBuf)
-		}
-		grant = stepper.StepBits(req)
+		req = g.NextBits(grant)
+		grant = p.StepBits(req)
 
 		granted := grant.Count()
 		holder := grant.FirstSet()

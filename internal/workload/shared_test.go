@@ -3,16 +3,25 @@ package workload
 import (
 	"reflect"
 	"testing"
+
+	"sparcs/internal/arbiter"
 )
 
-// step drives one Next cycle against scripted previous grants.
+// step drives one NextBits cycle against scripted previous grants,
+// given and returned as per-resource lane rows.
 func step(t *testing.T, s *SharedSource, prevGrant [][]bool) [][]bool {
 	t.Helper()
-	req := make([][]bool, len(s.Resources()))
-	for r := range req {
-		req[r] = make([]bool, s.Lanes())
+	prev := make([]arbiter.BitVec, len(prevGrant))
+	for r := range prevGrant {
+		prev[r] = arbiter.PackBools(prevGrant[r])
 	}
-	s.Next(req, prevGrant)
+	words := make([]arbiter.BitVec, len(s.Resources()))
+	s.NextBits(words, prev)
+	req := make([][]bool, len(words))
+	for r, w := range words {
+		req[r] = make([]bool, s.Lanes())
+		w.WriteBools(req[r])
+	}
 	return req
 }
 
@@ -81,11 +90,7 @@ func TestSharedResetReplaysIdentically(t *testing.T) {
 		var out [][][]bool
 		grant := [][]bool{{false, false}, {false, false}, {false, false}}
 		for c := 0; c < 200; c++ {
-			req := make([][]bool, 3)
-			for r := range req {
-				req[r] = make([]bool, 2)
-			}
-			s.Next(req, grant)
+			req := step(t, s, grant)
 			out = append(out, req)
 			// Scripted arbiter: grant whatever is requested every third
 			// cycle, one resource at a time.
@@ -116,8 +121,7 @@ func TestSharedLaneIndependence(t *testing.T) {
 	grant := [][]bool{{false, false}, {false, false}}
 	differ := false
 	for c := 0; c < 500 && !differ; c++ {
-		req := [][]bool{make([]bool, 2), make([]bool, 2)}
-		s.Next(req, grant)
+		req := step(t, s, grant)
 		if req[0][0] != req[0][1] || req[1][0] != req[1][1] {
 			differ = true
 		}

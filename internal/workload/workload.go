@@ -1,7 +1,7 @@
 // Package workload is a deterministic synthetic request-traffic engine
 // for exercising arbitration policies standalone, outside the full
 // system simulator: it drives any arbiter.Policy at millions of cycles
-// per second through the word-level BitStepper fast path, under traffic shapes
+// per second on single request/grant words, under traffic shapes
 // the paper's single FFT case study never produces — uniform Bernoulli
 // arrivals, bursty on/off sources, hotspot skew, Markov-modulated load
 // regimes, an adversarial hog, and recorded-trace replay.
@@ -22,32 +22,26 @@ import (
 	"sparcs/internal/arbiter"
 )
 
-// Generator produces one request vector per cycle. Next fills req for
-// the coming cycle after observing prevGrant, the grants the arbiter
-// issued last cycle (all false on the first call). Implementations must
+// Generator produces one request word per cycle. Implementations must
 // be deterministic: Reset followed by the same grant feedback replays
-// the identical request stream.
+// the identical request stream. It is structurally identical to
+// sim.Requester, so any generator attaches to a simulation as
+// background contention without an import cycle.
 type Generator interface {
+	BitGenerator
 	// Name identifies the shape with its parameters ("bernoulli:0.30").
 	Name() string
 	// N returns the number of request lines.
 	N() int
-	// Next fills req for one cycle; len(req) and len(prevGrant) must
-	// equal N.
-	Next(req, prevGrant []bool)
 	// Reset returns the generator to its initial state, including the
 	// random stream.
 	Reset()
 }
 
-// BitGenerator is the word-level fast path of Generator: NextBits
-// returns the request word for the coming cycle (bit i = line i) after
-// observing prevGrant, the grants issued last cycle. It advances the
-// same state as Next — the two surfaces are interchangeable
-// cycle-by-cycle, and every generator in this package implements both
-// (NextBits is the core; Next is a pack/unpack adapter). It is
-// structurally identical to sim.BitRequester, so sources attached as
-// simulator contention take the simulator's word-level path too.
+// BitGenerator is the per-cycle contract of Generator: NextBits returns
+// the request word for the coming cycle (bit i = line i) after observing
+// prevGrant, the grants the arbiter issued last cycle (zero on the first
+// call). Bits at or above N() must be clear.
 type BitGenerator interface {
 	NextBits(prevGrant arbiter.BitVec) arbiter.BitVec
 }
@@ -129,12 +123,8 @@ func (b *bernoulli) Reset() {
 	b.jobs.reset()
 }
 
-func (b *bernoulli) Next(req, prevGrant []bool) {
-	b.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
-
-// NextBits implements BitGenerator: the same draws in the same order as
-// the slice surface, assembled into one request word.
+// NextBits implements Generator: one draw per task per cycle, assembled
+// into one request word.
 //
 //sparcs:hotpath
 func (b *bernoulli) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
@@ -256,11 +246,7 @@ func (b *bursty) Reset() {
 	b.jobs.reset()
 }
 
-func (b *bursty) Next(req, prevGrant []bool) {
-	b.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
-
-// NextBits implements BitGenerator.
+// NextBits implements Generator.
 //
 //sparcs:hotpath
 func (b *bursty) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
@@ -329,11 +315,7 @@ func (m *markov) Reset() {
 	m.jobs.reset()
 }
 
-func (m *markov) Next(req, prevGrant []bool) {
-	m.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
-
-// NextBits implements BitGenerator.
+// NextBits implements Generator.
 //
 //sparcs:hotpath
 func (m *markov) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
@@ -386,13 +368,7 @@ func (s *silent) Reset()       {}
 // Silent marks the generator as statically request-free.
 func (s *silent) Silent() bool { return true }
 
-func (s *silent) Next(req, prevGrant []bool) {
-	for i := range req {
-		req[i] = false
-	}
-}
-
-// NextBits implements BitGenerator.
+// NextBits implements Generator.
 //
 //sparcs:hotpath
 func (s *silent) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec { return 0 }
@@ -431,11 +407,7 @@ func (t *trace) Name() string { return t.name }
 func (t *trace) N() int       { return t.n }
 func (t *trace) Reset()       { t.pos = 0 }
 
-func (t *trace) Next(req, prevGrant []bool) {
-	t.NextBits(arbiter.PackBools(prevGrant)).WriteBools(req)
-}
-
-// NextBits implements BitGenerator.
+// NextBits implements Generator.
 //
 //sparcs:hotpath
 func (t *trace) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {

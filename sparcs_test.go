@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"sparcs"
-	"sparcs/internal/core"
-	"sparcs/internal/fft"
-	"sparcs/internal/partition"
-	"sparcs/internal/sim"
+	"sparcs/internal/arbiter"
 )
 
 func TestNewArbiterPublicAPI(t *testing.T) {
@@ -16,9 +13,13 @@ func TestNewArbiterPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := arb.Step([]bool{false, true, true})
-	if !g[1] {
-		t.Fatalf("grant = %v, want task 2 first", g)
+	if g := arb.StepBits(0b110); g != 0b010 {
+		t.Fatalf("grant = %03b, want task 2 first", g)
+	}
+	grant := make([]bool, 3)
+	arbiter.StepBools(arb, []bool{true, false, true}, grant)
+	if !grant[2] || grant[0] || grant[1] {
+		t.Fatalf("grant = %v, want task 3 next in the rotation", grant)
 	}
 	if _, err := sparcs.NewArbiter(1); err == nil {
 		t.Fatal("N=1 should be rejected")
@@ -71,22 +72,22 @@ func TestWildforcePublicAPI(t *testing.T) {
 }
 
 // TestRunFFTCaseStudyPublicAPI is the headline integration test through
-// the public facade: structure, correctness, and timing shape all at once.
+// the public System API: structure, correctness, and timing shape all at
+// once.
 func TestRunFFTCaseStudyPublicAPI(t *testing.T) {
-	cs, err := sparcs.RunFFTCaseStudy(4)
+	const tiles = 4
+	sys, res, err := runFFTCaseStudy(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cs.OutputOK {
-		t.Fatal("output check failed")
+	if len(sys.Design().Stages) != 3 {
+		t.Fatalf("stages = %d, want 3", len(sys.Design().Stages))
 	}
-	if len(cs.Design.Stages) != 3 {
-		t.Fatalf("stages = %d, want 3", len(cs.Design.Stages))
+	hw := sparcs.FFTHardwareSeconds(float64(res.TotalCycles)/tiles, 512)
+	if speedup := sparcs.FFTSoftwareSeconds(512) / hw; speedup <= 1 {
+		t.Fatalf("speedup = %.2f, hardware should win", speedup)
 	}
-	if cs.Speedup <= 1 {
-		t.Fatalf("speedup = %.2f, hardware should win", cs.Speedup)
-	}
-	if !strings.Contains(cs.Report, "Arb6") {
+	if !strings.Contains(sys.Report(), "Arb6") {
 		t.Fatal("report missing the 6-input arbiter")
 	}
 }
@@ -140,21 +141,19 @@ func TestArbiterVHDLErrors(t *testing.T) {
 }
 
 // TestRunFFTCaseStudyGolden pins the case study's externally observable
-// numbers: OutputOK, zero violations, the paper's three-stage structure,
-// and the exact arbiter set — so any simulator change that perturbs
-// scheduling shows up as a diff here.
+// numbers: a verified output image, zero violations, the paper's
+// three-stage structure, and the exact arbiter set — so any simulator
+// change that perturbs scheduling shows up as a diff here.
 func TestRunFFTCaseStudyGolden(t *testing.T) {
-	cs, err := sparcs.RunFFTCaseStudy(2)
+	const tiles = 2
+	sys, res, err := runFFTCaseStudy(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cs.OutputOK {
-		t.Fatal("hardware memory image must match the fixed-point FFT reference")
-	}
-	if v := cs.Result.Violations(); len(v) != 0 {
+	if v := res.Violations(); len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}
-	arbs := cs.Design.Arbiters()
+	arbs := sys.Design().Arbiters()
 	want := []string{"0:M1:6", "0:M3:2", "1:M3:4"}
 	if len(arbs) != len(want) {
 		t.Fatalf("arbiters = %v, want %v", arbs, want)
@@ -164,36 +163,9 @@ func TestRunFFTCaseStudyGolden(t *testing.T) {
 			t.Fatalf("arbiters = %v, want %v", arbs, want)
 		}
 	}
-	if cs.CyclesPerTile <= 0 || cs.HWSeconds <= 0 || cs.SWSeconds <= 0 {
-		t.Fatalf("degenerate timings: %+v", cs)
-	}
-}
-
-// TestSimulateSweepPublicAPI runs a multi-point sweep of the compiled
-// FFT design through the facade and checks each point agrees with the
-// case study's own simulation.
-func TestSimulateSweepPublicAPI(t *testing.T) {
-	cs, err := sparcs.RunFFTCaseStudy(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []sparcs.SweepPoint
-	for p := 0; p < 4; p++ {
-		mem := sim.NewMemory()
-		fft.LoadInput(mem, 2, 42)
-		points = append(points, sparcs.SweepPoint{Design: cs.Design, Memory: mem})
-	}
-	results, err := sparcs.SimulateSweep(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if len(r.Violations()) != 0 {
-			t.Fatalf("point %d: violations %v", i, r.Violations())
-		}
-		if r.TotalCycles != cs.Result.TotalCycles {
-			t.Fatalf("point %d: %d cycles, case study ran %d", i, r.TotalCycles, cs.Result.TotalCycles)
-		}
+	cpt := float64(res.TotalCycles) / tiles
+	if cpt <= 0 || sparcs.FFTHardwareSeconds(cpt, 512) <= 0 || sparcs.FFTSoftwareSeconds(512) <= 0 {
+		t.Fatalf("degenerate timings: %g cycles/tile", cpt)
 	}
 }
 
@@ -255,7 +227,11 @@ func TestEvaluatePoliciesPublicAPI(t *testing.T) {
 // and evaluates in the same grid as synthetic shapes, under policies
 // the capture never ran.
 func TestFFTMeasuredColumnRoundTrip(t *testing.T) {
-	col, err := sparcs.FFTMeasuredColumn(2, 6, "round-robin")
+	_, res, err := runFFTCaseStudy(2, sparcs.WithPolicy("round-robin"), sparcs.WithCapture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := res.ColumnByWidth("fft", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +275,7 @@ func TestFFTMeasuredColumnRoundTrip(t *testing.T) {
 		}
 	}
 	// A width mismatch is a clean error, not a silent truncation.
-	if _, err := sparcs.FFTMeasuredColumn(2, 16, "rr"); err == nil {
+	if _, err := res.ColumnByWidth("fft", 16); err == nil {
 		t.Fatal("no 16-line arbiter exists; expected an error")
 	}
 }
@@ -315,33 +291,27 @@ func TestContentionPublicAPI(t *testing.T) {
 	if len(specs) != 1 || specs[0].Resource != "M1" || specs[0].Workload != "bursty" || specs[0].Lines != 2 {
 		t.Fatalf("parsed %+v", specs)
 	}
-	g := fft.Taskgraph()
-	opts := core.Options{
-		Partition:  partition.Options{FixedStages: fft.PaperStages()},
-		Contention: specs,
-	}
 	// Contention-aware partitioning prices M1's arbiter at its simulated
 	// width (6 members + 2 phantoms): Arb8 costs 37 CLBs and PE1
-	// genuinely overflows, which Compile must now report.
-	if _, err := sparcs.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts); err == nil {
+	// genuinely overflows, which Build must report.
+	if _, err := sparcs.FFTSystem(2, sparcs.WithExpectedContention("M1=bursty/2")); err == nil {
 		t.Fatal("phantom-widened Arb8 should overflow PE1's CLB capacity")
 	} else if !strings.Contains(err.Error(), "over capacity") {
 		t.Fatalf("want an over-capacity error, got: %v", err)
 	}
-	// An explicit (empty) estimate opts out of the derived width bump —
-	// the escape hatch for phantom-only experiments on a full board.
-	opts.Partition.ExpectedContention = map[string]int{}
-	d, err := sparcs.Compile(g, sparcs.Wildforce(), fft.Programs(2), opts)
+	// Pricing member widths only is the escape hatch for phantom-only
+	// experiments on a full board.
+	sys, err := sparcs.FFTSystem(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := sim.NewMemory()
-	in := fft.LoadInput(mem, 2, 42)
-	res, err := sparcs.Simulate(d, mem, opts)
+	mem := sparcs.NewMemory()
+	in := sparcs.LoadFFTInput(mem, 2, 42)
+	res, err := sys.Run(sparcs.WithContention("M1=bursty/2"), sparcs.WithMemory(mem))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fft.CheckOutput(mem, in); err != nil {
+	if err := sparcs.CheckFFTOutput(mem, in); err != nil {
 		t.Fatalf("FFT output corrupted by background contention: %v", err)
 	}
 	found := false

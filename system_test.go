@@ -16,15 +16,15 @@ import (
 	"sparcs/internal/workload"
 )
 
-// TestSystemFFTDifferentialEquivalence is the deprecated-wrapper
-// contract: the old flat-options path (core.Compile + core.Simulate),
-// the deprecated facade wrappers, and a direct System run must produce
-// deeply equal per-stage stats — including traces — and identical
-// memory images for the FFT case study.
+// TestSystemFFTDifferentialEquivalence is the System API's contract
+// with the engine underneath: the flat-options path (core.Compile +
+// core.Simulate) and a System run must produce deeply equal per-stage
+// stats — including traces — and identical memory images for the FFT
+// case study.
 func TestSystemFFTDifferentialEquivalence(t *testing.T) {
 	const tiles = 3
 
-	// Old path: the flat core.Options bag threaded through both calls.
+	// Engine path: the flat core.Options bag threaded through both calls.
 	oldOpts := core.Options{Partition: partition.Options{FixedStages: fft.PaperStages()}}
 	d, err := core.Compile(fft.Taskgraph(), rc.Wildforce(), fft.Programs(tiles), oldOpts)
 	if err != nil {
@@ -37,7 +37,7 @@ func TestSystemFFTDifferentialEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// New path: Build once, Run with per-run options.
+	// System path: Build once, Run with per-run options.
 	sys, err := sparcs.FFTSystem(tiles)
 	if err != nil {
 		t.Fatal(err)
@@ -49,26 +49,15 @@ func TestSystemFFTDifferentialEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deprecated wrapper path.
-	cs, err := sparcs.RunFFTCaseStudy(tiles)
-	if err != nil {
-		t.Fatal(err)
+	if newRes.TotalCycles != oldRes.TotalCycles {
+		t.Fatalf("TotalCycles %d != engine %d", newRes.TotalCycles, oldRes.TotalCycles)
 	}
-
-	for name, got := range map[string]*core.RunResult{
-		"System.Run":      newRes.RunResult,
-		"RunFFTCaseStudy": cs.Result,
-	} {
-		if got.TotalCycles != oldRes.TotalCycles {
-			t.Fatalf("%s: TotalCycles %d != old %d", name, got.TotalCycles, oldRes.TotalCycles)
-		}
-		if len(got.Stages) != len(oldRes.Stages) {
-			t.Fatalf("%s: %d stages != %d", name, len(got.Stages), len(oldRes.Stages))
-		}
-		for si := range got.Stages {
-			if !reflect.DeepEqual(got.Stages[si].Stats, oldRes.Stages[si].Stats) {
-				t.Fatalf("%s: stage %d stats diverge from the old facade path", name, si)
-			}
+	if len(newRes.Stages) != len(oldRes.Stages) {
+		t.Fatalf("%d stages != %d", len(newRes.Stages), len(oldRes.Stages))
+	}
+	for si := range newRes.Stages {
+		if !reflect.DeepEqual(newRes.Stages[si].Stats, oldRes.Stages[si].Stats) {
+			t.Fatalf("stage %d stats diverge from the engine path", si)
 		}
 	}
 	// Memory images agree segment by segment.
@@ -82,13 +71,25 @@ func TestSystemFFTDifferentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestSystemArbbenchGridEquivalence: the grid built from the deprecated
-// FFTMeasuredColumn wrapper and the grid built from a System capture
-// must be cell-for-cell DeepEqual — the arbbench half of the wrapper
-// contract.
+// TestSystemArbbenchGridEquivalence: the grid built from a column the
+// engine path (core.Compile + core.Simulate) captured and the grid built
+// from a System capture via ColumnByWidth must be cell-for-cell
+// DeepEqual — the arbbench half of the engine contract.
 func TestSystemArbbenchGridEquivalence(t *testing.T) {
 	const tiles = 2
-	oldCol, err := sparcs.FFTMeasuredColumn(tiles, 6, "round-robin")
+	oldOpts := core.Options{Partition: partition.Options{FixedStages: fft.PaperStages()}}
+	d, err := core.Compile(fft.Taskgraph(), rc.Wildforce(), fft.Programs(tiles), oldOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldMem := sim.NewMemory()
+	fft.LoadInput(oldMem, tiles, 42)
+	oldRes, err := core.Simulate(d, oldMem, oldOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The paper's contended Arb6 bank is M1 in the first stage.
+	oldCol, err := workload.FromArbiterTrace("fft:M1", oldRes.Stages[0].Stats.ArbiterTraces["M1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSystemArbbenchGridEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(oldCells, newCells) {
-		t.Fatal("grid cells diverge between the deprecated wrapper column and the System capture column")
+		t.Fatal("grid cells diverge between the engine capture column and the System capture column")
 	}
 	// And the spec-string front end still matches the columns front end.
 	oldGrid, err := sparcs.EvaluatePolicies(policies, []string{"hog", "bursty"}, opt)
@@ -387,26 +388,40 @@ func TestSystemCaptureColumnRoundTrip(t *testing.T) {
 // TestSystemSweep: Sweep fans experiment option-sets over one compiled
 // System and returns per-experiment results identical to calling Run
 // sequentially — same composition semantics, same no-residue guarantee,
-// just parallel.
+// traces included, just parallel. An experiment over its own loaded
+// memory image still verifies its FFT output, and an empty sweep
+// returns at once.
 func TestSystemSweep(t *testing.T) {
 	sys, err := sparcs.FFTSystem(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments := [][]sparcs.RunOption{
-		nil,
-		{sparcs.WithPolicy("fifo")},
-		{sparcs.WithPolicy("priority")},
-		{sparcs.WithPolicy("wrr:2"), sparcs.WithContention("M1=bursty/1"), sparcs.WithMaxCycles(500_000)},
+	// experiments returns fresh option sets, so the sweep and the
+	// sequential reruns never share the loaded memory image.
+	experiments := func() ([][]sparcs.RunOption, *sparcs.Memory, [][]int64) {
+		mem := sparcs.NewMemory()
+		in := sparcs.LoadFFTInput(mem, 2, 7)
+		return [][]sparcs.RunOption{
+			nil,
+			{sparcs.WithPolicy("fifo"), sparcs.WithCapture()},
+			{sparcs.WithPolicy("priority")},
+			{sparcs.WithPolicy("wrr:2"), sparcs.WithContention("M1=bursty/1"), sparcs.WithMaxCycles(500_000), sparcs.WithCapture("M1")},
+			{sparcs.WithMemory(mem), sparcs.WithCapture()},
+		}, mem, in
 	}
-	got, err := sys.Sweep(experiments...)
+	swept, mem, in := experiments()
+	got, err := sys.Sweep(swept...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(experiments) {
-		t.Fatalf("Sweep returned %d results for %d experiments", len(got), len(experiments))
+	if len(got) != len(swept) {
+		t.Fatalf("Sweep returned %d results for %d experiments", len(got), len(swept))
 	}
-	for i, opts := range experiments {
+	if err := sparcs.CheckFFTOutput(mem, in); err != nil {
+		t.Fatalf("swept run over its own memory image: %v", err)
+	}
+	sequential, _, _ := experiments()
+	for i, opts := range sequential {
 		want, err := sys.Run(opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -420,6 +435,9 @@ func TestSystemSweep(t *testing.T) {
 				t.Fatalf("experiment %d stage %d: sweep stats diverge from sequential Run", i, si)
 			}
 		}
+	}
+	if res, err := sys.Sweep(); err != nil || len(res) != 0 {
+		t.Fatalf("empty sweep: results %v, err %v", res, err)
 	}
 	// A failing experiment reports its index without discarding the
 	// completed siblings (partial-failure semantics pinned in detail by
