@@ -5,6 +5,8 @@
 //	BenchmarkFigure7ArbiterClock  — Figure 7, arbiter MHz vs N
 //	BenchmarkTable1SharedChannel  — Table 1 / Figure 3 channel sharing
 //	BenchmarkSection5FFT          — Section 5 FFT case study timings
+//	BenchmarkBuildFFT             — its Build rung: FFTSystem(6) only
+//	BenchmarkRunFFT               — its Run rung, capture on and off
 //	BenchmarkProtocolOverhead     — Section 4.3 two-cycle access protocol
 //	BenchmarkAblationPolicies     — Section 4 policy comparison
 //	BenchmarkAblationEncodings    — Section 4.2 encoding comparison
@@ -139,6 +141,51 @@ func BenchmarkSection5FFT(b *testing.B) {
 	b.ReportMetric(sw, "sw_s")
 	b.ReportMetric(sw/hw, "speedup")
 	b.ReportMetric(cpt, "cycles/tile")
+}
+
+// BenchmarkBuildFFT is the Build rung of Section5FFT: compiling
+// FFTSystem(6) alone, with no simulation.
+func BenchmarkBuildFFT(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := sparcs.FFTSystem(6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunFFT is the Run rung of Section5FFT: one run of a prebuilt
+// FFTSystem(6) over a freshly loaded input image, with trace capture on
+// and off, so the capture cost reads as the difference of the two.
+func BenchmarkRunFFT(b *testing.B) {
+	const tiles = 6
+	sys, err := sparcs.FFTSystem(tiles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rung := range []struct {
+		name    string
+		capture bool
+	}{{"capture=on", true}, {"capture=off", false}} {
+		b.Run(rung.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mem := sparcs.NewMemory()
+				sparcs.LoadFFTInput(mem, tiles, 42)
+				opts := []sparcs.RunOption{sparcs.WithMemory(mem)}
+				if rung.capture {
+					opts = append(opts, sparcs.WithCapture())
+				}
+				b.StartTimer()
+				res, err := sys.Run(opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Violations()) != 0 {
+					b.Fatalf("violations: %v", res.Violations())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkProtocolOverhead measures the Section 4.3 claim: with an

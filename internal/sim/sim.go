@@ -21,8 +21,9 @@
 // index once at setup, request and grant vectors are single
 // arbiter.BitVec words stepped through Policy.StepBits, and memory
 // accesses index interned dense pages (see Memory). Only trace
-// recording and violation capture allocate, amortized through chunked
-// arenas.
+// recording and violation capture allocate: traces record raw word
+// pairs into fixed-size chunks and are unpacked to TraceSteps once,
+// after the run.
 package sim
 
 import (
@@ -133,10 +134,10 @@ type Stats struct {
 }
 
 // arbInst is one arbiter instance with its request/grant state packed
-// into single BitVec words (bit i = request line i) and its trace arena.
-// With contention attached, the low memberN bits are the member tasks'
-// lines followed by the phantom sources' line windows up to width, and
-// traces record the full widened width.
+// into single BitVec words (bit i = request line i) and its recorded
+// trace. With contention attached, the low memberN bits are the member
+// tasks' lines followed by the phantom sources' line windows up to
+// width, and traces record the full widened width.
 type arbInst struct {
 	res        string
 	spec       partition.ArbiterSpec
@@ -149,28 +150,67 @@ type arbInst struct {
 	grant      arbiter.BitVec
 	grants     int  // member grants, flushed to Stats.GrantsByRes after the run
 	capture    bool // record per-cycle traces for this arbiter
-	trace      []arbiter.TraceStep
-	arena      []bool       // chunked backing for trace req/grant copies
-	sources    []contSource // background phantom requesters
-	phGrants   []int        // per phantom line, flushed to Stats.Contention
-	phWaits    []int
+	// The trace is recorded as (req, grant) word pairs: cur is the chunk
+	// being filled, chunks the full ones before it. unpackTrace turns
+	// them into TraceSteps once, after the run.
+	cur      []arbiter.BitVec
+	chunks   [][]arbiter.BitVec
+	sources  []contSource // background phantom requesters
+	phGrants []int        // per phantom line, flushed to Stats.Contention
+	phWaits  []int
 }
 
-// record appends this cycle's request/grant words to the trace, unpacked
-// into []bool copies carved out of a chunked arena — the TraceStep
-// surface (and its byte layout) is unchanged from the slice-based
-// simulator.
+// traceChunkWords is the size of one trace chunk: 512 recorded cycles of
+// (req, grant) word pairs.
+const traceChunkWords = 2 * 512
+
+// record appends this cycle's request and grant words to the current
+// trace chunk by reslicing it; only a full chunk costs an allocation.
 func (ai *arbInst) record() {
-	n := ai.width
-	if len(ai.arena) < 2*n {
-		ai.arena = make([]bool, 2*n*1024) //sparcs:ignore hotpath,bitwidth trace arena chunk, amortized over 1024 recorded cycles; TraceStep keeps the []bool surface
+	n := len(ai.cur)
+	if n == cap(ai.cur) {
+		ai.nextChunk()
+		n = 0
 	}
-	rq := ai.arena[0:n:n]
-	gr := ai.arena[n : 2*n : 2*n]
-	ai.arena = ai.arena[2*n:]
-	ai.req.WriteBools(rq)
-	ai.grant.WriteBools(gr)
-	ai.trace = append(ai.trace, arbiter.TraceStep{Req: rq, Grant: gr}) //sparcs:ignore hotpath trace capture is opt-in and amortized; disable traces for allocation-free runs
+	ai.cur = ai.cur[:n+2]
+	ai.cur[n] = ai.req
+	ai.cur[n+1] = ai.grant
+}
+
+// nextChunk retires the current trace chunk and starts an empty one.
+func (ai *arbInst) nextChunk() {
+	ai.chunks, ai.cur = append(ai.chunks, ai.cur), make([]arbiter.BitVec, 0, traceChunkWords) //sparcs:ignore hotpath one fixed-size chunk per 512 recorded cycles; disable traces for allocation-free runs
+}
+
+// unpackTrace returns the recorded cycles as TraceSteps — the []bool
+// surface of Stats.ArbiterTraces — carved from one step array and one
+// []bool backing, each Req/Grant exact-size (cap == len). Nil when
+// nothing was recorded.
+func (ai *arbInst) unpackTrace() []arbiter.TraceStep {
+	steps := len(ai.cur) / 2
+	for _, c := range ai.chunks {
+		steps += len(c) / 2
+	}
+	if steps == 0 {
+		return nil
+	}
+	ai.chunks = append(ai.chunks, ai.cur)
+	n := ai.width
+	trace := make([]arbiter.TraceStep, 0, steps)
+	var lines []bool
+	if n > 0 {
+		lines = make([]bool, 2*n*steps)
+	}
+	for _, c := range ai.chunks {
+		for k := 0; k < len(c); k += 2 {
+			rq, gr := lines[:n:n], lines[n:2*n:2*n]
+			lines = lines[2*n:]
+			c[k].WriteBools(rq)
+			c[k+1].WriteBools(gr)
+			trace = append(trace, arbiter.TraceStep{Req: rq, Grant: gr})
+		}
+	}
+	return trace
 }
 
 // cinstr is one precompiled instruction: every map lookup the
@@ -661,7 +701,7 @@ func Run(cfg Config) (*Stats, error) {
 		}
 	}
 	for _, ai := range arbList {
-		stats.ArbiterTraces[ai.res] = ai.trace
+		stats.ArbiterTraces[ai.res] = ai.unpackTrace()
 		if ai.grants > 0 {
 			stats.GrantsByRes[ai.res] = ai.grants
 		}

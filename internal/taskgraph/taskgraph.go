@@ -93,7 +93,10 @@ type Channel struct {
 	WidthBits int
 }
 
-// Graph is a complete design specification.
+// Graph is a complete design specification. A Graph must not be
+// mutated once it has been queried: the first query builds its lookup
+// index (name maps and dependency reachability) once, and every later
+// query reads it.
 type Graph struct {
 	Name     string
 	Tasks    []*Task
@@ -101,52 +104,165 @@ type Graph struct {
 	Channels []*Channel
 
 	idxOnce sync.Once
-	taskIdx map[string]*Task
-	segIdx  map[string]*Segment
+	idx     graphIndex
 }
 
-// TaskByName returns the named task, or nil. Safe for concurrent use
-// once the graph is no longer being mutated (the lazy index build is
-// guarded), which the parallel sweep runners rely on.
-func (g *Graph) TaskByName(name string) *Task {
-	g.idxOnce.Do(g.buildIndex)
-	return g.taskIdx[name]
+// graphIndex is the graph's lookup structure, built once on first query.
+// Reachability is one ancestor bitset row per dense id (the bitset layout
+// of the arbiter kernel, extended to multi-word rows): bit j of row i is
+// set when j transitively precedes i. Ids cover every task name and every
+// dependency name, known or not, so pairwise queries answer exactly as a
+// walk over the Deps lists would.
+type graphIndex struct {
+	tasks map[string]*Task
+	segs  map[string]*Segment
+	ids   map[string]int
+	words int      // uint64 words per ancestor row
+	anc   []uint64 // len(ids) rows of words
 }
+
+// index returns the graph's index, building it on first use. Safe for
+// concurrent use once the graph is no longer being mutated, which the
+// parallel sweep runners rely on.
+func (g *Graph) index() *graphIndex {
+	g.idxOnce.Do(g.buildIndex)
+	return &g.idx
+}
+
+// TaskByName returns the named task, or nil.
+func (g *Graph) TaskByName(name string) *Task { return g.index().tasks[name] }
 
 // SegmentByName returns the named segment, or nil.
-func (g *Graph) SegmentByName(name string) *Segment {
-	g.idxOnce.Do(g.buildIndex)
-	return g.segIdx[name]
-}
+func (g *Graph) SegmentByName(name string) *Segment { return g.index().segs[name] }
 
 func (g *Graph) buildIndex() {
-	g.taskIdx = map[string]*Task{}
-	g.segIdx = map[string]*Segment{}
+	ix := &g.idx
+	ix.tasks = make(map[string]*Task, len(g.Tasks))
+	ix.segs = make(map[string]*Segment, len(g.Segments))
+	ix.ids = make(map[string]int, len(g.Tasks))
 	for _, t := range g.Tasks {
-		g.taskIdx[t.Name] = t
+		ix.tasks[t.Name] = t
+		ix.id(t.Name)
 	}
 	for _, s := range g.Segments {
-		g.segIdx[s.Name] = s
+		ix.segs[s.Name] = s
 	}
+	// Dependency names with no task of their own become leaf ids.
+	for _, t := range g.Tasks {
+		for _, d := range t.Deps {
+			ix.id(d)
+		}
+	}
+	deps := make([][]int, len(ix.ids))
+	for _, t := range g.Tasks {
+		if ix.tasks[t.Name] != t {
+			continue // a duplicated name keeps its last declaration, as in the name map
+		}
+		ds := make([]int, len(t.Deps))
+		for k, d := range t.Deps {
+			ds[k] = ix.ids[d]
+		}
+		deps[ix.ids[t.Name]] = ds
+	}
+	ix.closeOver(deps)
+}
+
+// id returns name's dense id, assigning the next one on first sight.
+func (ix *graphIndex) id(name string) int {
+	if i, ok := ix.ids[name]; ok {
+		return i
+	}
+	i := len(ix.ids)
+	ix.ids[name] = i
+	return i
+}
+
+// closeOver fills the ancestor rows with the transitive closure of deps.
+// Rows are filled in dependency post-order, so on a DAG one pass is
+// exact; a dependency cycle repeats the pass until no row changes.
+func (ix *graphIndex) closeOver(deps [][]int) {
+	n := len(deps)
+	ix.words = (n + 63) / 64
+	ix.anc = make([]uint64, n*ix.words)
+	order := make([]int, 0, n)
+	state := make([]uint8, n) // 0 unvisited, 1 on the DFS stack, 2 done
+	cyclic := false
+	var visit func(i int)
+	visit = func(i int) {
+		state[i] = 1
+		for _, d := range deps[i] {
+			switch state[d] {
+			case 0:
+				visit(d)
+			case 1:
+				cyclic = true
+			}
+		}
+		state[i] = 2
+		order = append(order, i)
+	}
+	for i := range deps {
+		if state[i] == 0 {
+			visit(i)
+		}
+	}
+	for {
+		changed := false
+		for _, i := range order {
+			row := ix.row(i)
+			for _, d := range deps[i] {
+				before := row[d/64]
+				row[d/64] |= 1 << uint(d%64)
+				changed = changed || row[d/64] != before
+				for k, w := range ix.row(d) {
+					if row[k]|w != row[k] {
+						row[k] |= w
+						changed = true
+					}
+				}
+			}
+		}
+		if !cyclic || !changed {
+			return
+		}
+	}
+}
+
+func (ix *graphIndex) row(i int) []uint64 { return ix.anc[i*ix.words : (i+1)*ix.words] }
+
+// lookup resolves a name to its dense id, or -1 when no task or
+// dependency carries it.
+func (ix *graphIndex) lookup(name string) int {
+	if i, ok := ix.ids[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// reaches reports whether id from transitively precedes id to. A task
+// never precedes itself, even on a dependency cycle, and an unknown name
+// (-1) precedes nothing.
+func (ix *graphIndex) reaches(from, to int) bool {
+	return from >= 0 && to >= 0 && from != to && ix.anc[to*ix.words+from/64]>>uint(from%64)&1 != 0
 }
 
 // Validate checks referential integrity and dependency acyclicity.
 func (g *Graph) Validate() error {
-	g.buildIndex()
-	if len(g.taskIdx) != len(g.Tasks) {
+	ix := g.index()
+	if len(ix.tasks) != len(g.Tasks) {
 		return fmt.Errorf("taskgraph %s: duplicate task names", g.Name)
 	}
-	if len(g.segIdx) != len(g.Segments) {
+	if len(ix.segs) != len(g.Segments) {
 		return fmt.Errorf("taskgraph %s: duplicate segment names", g.Name)
 	}
 	for _, t := range g.Tasks {
 		for _, d := range t.Deps {
-			if g.taskIdx[d] == nil {
+			if ix.tasks[d] == nil {
 				return fmt.Errorf("taskgraph %s: task %s depends on unknown task %s", g.Name, t.Name, d)
 			}
 		}
 		for _, a := range t.Accesses {
-			if g.segIdx[a.Segment] == nil {
+			if ix.segs[a.Segment] == nil {
 				return fmt.Errorf("taskgraph %s: task %s accesses unknown segment %s", g.Name, t.Name, a.Segment)
 			}
 		}
@@ -155,7 +271,7 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, c := range g.Channels {
-		if g.taskIdx[c.From] == nil || g.taskIdx[c.To] == nil {
+		if ix.tasks[c.From] == nil || ix.tasks[c.To] == nil {
 			return fmt.Errorf("taskgraph %s: channel %s connects unknown tasks %s->%s", g.Name, c.Name, c.From, c.To)
 		}
 		if c.From == c.To {
@@ -172,7 +288,7 @@ func (g *Graph) Validate() error {
 // error if control dependencies form a cycle. Ties preserve declaration
 // order for determinism.
 func (g *Graph) TopoOrder() ([]string, error) {
-	g.buildIndex()
+	ix := g.index()
 	const (
 		white = 0
 		gray  = 1
@@ -189,7 +305,7 @@ func (g *Graph) TopoOrder() ([]string, error) {
 			return fmt.Errorf("taskgraph %s: control dependency cycle through %s", g.Name, name)
 		}
 		color[name] = gray
-		t := g.taskIdx[name]
+		t := ix.tasks[name]
 		deps := append([]string(nil), t.Deps...)
 		sort.Strings(deps)
 		for _, d := range deps {
@@ -210,44 +326,20 @@ func (g *Graph) TopoOrder() ([]string, error) {
 }
 
 // Ordered reports whether task a transitively precedes task b through
-// control dependencies. Ordered tasks can never contend for a resource —
-// the basis of the paper's Section 5 arbiter-elision observation.
+// control dependencies, or b precedes a. Ordered tasks can never contend
+// for a resource — the basis of the paper's Section 5 arbiter-elision
+// observation.
 func (g *Graph) Ordered(a, b string) bool {
-	g.buildIndex()
-	return g.reaches(a, b) || g.reaches(b, a)
+	ix := g.index()
+	from, to := ix.lookup(a), ix.lookup(b)
+	return ix.reaches(from, to) || ix.reaches(to, from)
 }
 
 // Precedes reports whether a transitively precedes b (a completes before b
 // starts).
 func (g *Graph) Precedes(a, b string) bool {
-	g.buildIndex()
-	return g.reaches(a, b)
-}
-
-// reaches reports whether from is an ancestor of to in the dependency DAG.
-func (g *Graph) reaches(from, to string) bool {
-	if from == to {
-		return false
-	}
-	seen := map[string]bool{}
-	var walk func(cur string) bool
-	walk = func(cur string) bool {
-		if seen[cur] {
-			return false
-		}
-		seen[cur] = true
-		t := g.taskIdx[cur]
-		if t == nil {
-			return false
-		}
-		for _, d := range t.Deps {
-			if d == from || walk(d) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(to)
+	ix := g.index()
+	return ix.reaches(ix.lookup(a), ix.lookup(b))
 }
 
 // Accessors returns the names of tasks accessing the segment, in
@@ -272,14 +364,19 @@ func (g *Graph) Accessors(segment string) []string {
 // ordered against every other accessor are elidable (paper Section 5).
 // The result preserves the input order.
 func (g *Graph) UnorderedMembers(tasks []string) []string {
+	ix := g.index()
+	ids := make([]int, len(tasks))
+	for i, name := range tasks {
+		ids[i] = ix.lookup(name)
+	}
 	var out []string
-	for i, a := range tasks {
-		for j, b := range tasks {
+	for i, a := range ids {
+		for j, b := range ids {
 			if i == j {
 				continue
 			}
-			if !g.Ordered(a, b) {
-				out = append(out, a)
+			if !ix.reaches(a, b) && !ix.reaches(b, a) {
+				out = append(out, tasks[i])
 				break
 			}
 		}
