@@ -45,7 +45,7 @@ func main() {
 	conservative := flag.Bool("conservative", false, "disable dependency-based arbiter elision")
 	policy := flag.String("policy", "round-robin", "arbitration policy spec (rr, fifo, priority, random:<seed>, fsm, netlist:<encoding>, preemptive:<maxHold>, wrr:<weights>, hier:<groups>)")
 	m := flag.Int("m", 2, "accesses per grant before the request is released (Figure 8)")
-	contend := flag.String("contend", "", "flow: background contention specs, comma-separated: resource=workload[/lines] (e.g. M1=bursty/1) or correlated res1+res2=workload[/lanes] (e.g. M1+M3=corr:0.25/1)")
+	contend := flag.String("contend", "", "flow: background contention specs, comma-separated res1[+res2...]=workload[/lines]: one resource (e.g. M1=bursty/1) or a correlated source over several (e.g. M1+M3=corr:0.25/1)")
 	contendSeed := flag.Uint64("contend-seed", 1, "flow: random seed for the background generators")
 	maxCycles := flag.Int("max-cycles", 0, "flow: per-stage cycle watchdog (0 = 10M, or 1M when -contend is set)")
 	n := flag.Int("n", 6, "arbbench: request lines per arbiter")

@@ -11,10 +11,11 @@ import (
 )
 
 // TestDuplicateResourceRejected pins the typed rejection of duplicate
-// resources across all three parser front ends — and that the
-// compositional cases (single+shared on one resource, repeated shared
-// spans) remain accepted: those describe independent background
-// processes, not a silently merged one.
+// resources — two single-resource entries on one resource, or one entry
+// repeating a resource — and that the compositional cases
+// (single+correlated on one resource, repeated correlated spans) remain
+// accepted: those describe independent background processes, not a
+// silently merged one.
 func TestDuplicateResourceRejected(t *testing.T) {
 	assertDup := func(t *testing.T, err error, resource string) {
 		t.Helper()
@@ -37,26 +38,26 @@ func TestDuplicateResourceRejected(t *testing.T) {
 		t.Fatalf("distinct resources rejected: %v", err)
 	}
 
-	shared, err := ParseSharedContention("M1+M3+M1=corr")
+	shared, err := ParseContention("M1+M3+M1=corr")
 	if shared != nil {
 		t.Fatalf("duplicate span returned partial specs %+v", shared)
 	}
 	assertDup(t, err, "M1")
 
-	single, mixed, err := ParseMixedContention("M1=hog,M1=bursty,M2+M3=corr")
-	if single != nil || mixed != nil {
-		t.Fatalf("duplicate mixed list returned partial specs %+v / %+v", single, mixed)
+	mixed, err := ParseContention("M1=hog,M1=bursty,M2+M3=corr")
+	if mixed != nil {
+		t.Fatalf("duplicate mixed list returned partial specs %+v", mixed)
 	}
 	assertDup(t, err, "M1")
 
 	// A resource under both independent and correlated load is two
 	// distinct background processes — still accepted.
-	if _, _, err := ParseMixedContention("M1=hog,M1+M3=corr"); err != nil {
+	if _, err := ParseContention("M1=hog,M1+M3=corr"); err != nil {
 		t.Fatalf("single+shared composition rejected: %v", err)
 	}
 	// Repeating a shared span across entries adds lanes of another
 	// correlated source — still accepted.
-	if _, err := ParseSharedContention("M1+M3=corr,M1+M3=corr:0.50"); err != nil {
+	if _, err := ParseContention("M1+M3=corr,M1+M3=corr:0.50"); err != nil {
 		t.Fatalf("repeated shared span rejected: %v", err)
 	}
 }
@@ -122,8 +123,8 @@ func TestZeroRateContentionByteIdentical(t *testing.T) {
 
 			opts := policyOpts(t, spec)
 			opts.Contention = []ContentionSpec{
-				{Resource: "M1", Workload: "silent", Lines: 2},
-				{Resource: "M3", Workload: "silent", Lines: 1},
+				{Resources: []string{"M1"}, Workload: "silent", Lines: 2},
+				{Resources: []string{"M3"}, Workload: "silent", Lines: 1},
 			}
 			quiet, memQuiet := runFFT(t, opts)
 
@@ -221,7 +222,7 @@ func simulateWithQuietTrace(t *testing.T, d *Design, mem *sim.Memory, opts Optio
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Contention = append(cfg.Contention, sim.ContentionSource{Resource: res, Gen: quiet})
+				cfg.Contention = append(cfg.Contention, workload.OnResource(res, quiet))
 			}
 		}
 		stats, err := sim.Run(cfg)

@@ -40,23 +40,20 @@ type Options struct {
 	// part of simulation whose memory cost grows with cycle count.
 	// Sweeps that only need cycle/violation/grant statistics set this.
 	DisableTraces bool
-	// Contention injects background phantom requesters alongside the
-	// compiled tasks: each spec attaches a workload generator to the
-	// named arbiter in every stage where the resource is arbitrated.
-	// NewPolicy then receives the widened line count (members plus
-	// phantom lines) for those arbiters.
+	// Contention injects background sources alongside the compiled
+	// tasks: each spec attaches one workload to the arbiters of the
+	// resources it names, in every stage that arbitrates all of them
+	// (see ContentionSpec). NewPolicy then receives the widened line
+	// count (members plus phantom lines) for those arbiters. Sources
+	// spanning two or more resources hold earlier grants while waiting
+	// for later ones, and report cross-resource overlap and wait
+	// statistics in each stage's sim.Stats.Shared.
 	Contention []ContentionSpec
-	// Shared injects correlated multi-resource background sources: one
-	// generator spans several arbiters with hold-A-while-waiting-on-B
-	// semantics, wired into every stage that arbitrates ALL its
-	// resources (see SharedContentionSpec). Cross-resource overlap and
-	// wait statistics land in each stage's sim.Stats.Shared.
-	Shared []SharedContentionSpec
 	// ContentionSeed seeds the background generators' random streams
 	// (0 means 1). Runs are deterministic for a given seed.
 	ContentionSeed uint64
 	// UnsafeProtocols skips the acquisition-order deadlock check on the
-	// Shared specs (CheckProtocols): cyclic hold-and-wait protocols run
+	// Contention specs (CheckProtocols): cyclic hold-and-wait protocols run
 	// anyway, guarded only by the MaxCyclesPerStage watchdog. This is
 	// the deadlock experiments' escape hatch; leave it false everywhere
 	// else.
@@ -89,16 +86,16 @@ func Compile(g *taskgraph.Graph, board *rc.Board, programs map[string]behav.Prog
 	// compiled against a cyclic hold-and-wait protocol would only ever
 	// "work" by timing out its watchdog.
 	if !opts.UnsafeProtocols {
-		if err := CheckProtocols(opts.Shared); err != nil {
+		if err := CheckProtocols(opts.Contention); err != nil {
 			return nil, err
 		}
 	}
 	// Contention-aware partitioning: unless the caller set an explicit
 	// estimate, price each arbiter at the width it will be SIMULATED at
-	// (members + phantom lines + shared lanes), not its member width, so
-	// the memory mapper's area model matches the widened hardware.
+	// (members + phantom lines), not its member width, so the memory
+	// mapper's area model matches the widened hardware.
 	if opts.Partition.ExpectedContention == nil {
-		if extra := expectedLines(opts); len(extra) > 0 {
+		if extra := PhantomLines(opts.Contention); len(extra) > 0 {
 			opts.Partition.ExpectedContention = extra
 		}
 	}
@@ -188,19 +185,8 @@ func Simulate(d *Design, mem *sim.Memory, opts Options) (*RunResult, error) {
 	if mem == nil {
 		mem = sim.NewMemory()
 	}
-	if err := validateContention(d, opts.Contention); err != nil {
+	if err := checkRunContention(d, opts); err != nil {
 		return nil, err
-	}
-	if err := validateShared(d, opts.Shared); err != nil {
-		return nil, err
-	}
-	// Experiments compose contention per run, after Compile has already
-	// vetted the build-time specs — so the acquisition-order check runs
-	// here too, against whatever protocol this run actually injects.
-	if !opts.UnsafeProtocols {
-		if err := CheckProtocols(opts.Shared); err != nil {
-			return nil, err
-		}
 	}
 	res := &RunResult{Memory: mem}
 	for _, sp := range d.Stages {
@@ -216,7 +202,7 @@ func Simulate(d *Design, mem *sim.Memory, opts Options) (*RunResult, error) {
 
 // SimulateStage runs one temporal partition of a compiled design over the
 // given memory image, with exactly the option composition Simulate uses
-// for that stage (same contention/shared seed derivation, same config).
+// for that stage (same contention seed derivation, same config).
 // This is the entry point for schedulers that interleave stages of many
 // designs on one fabric (internal/scenario): a design's stage i executed
 // here is cycle-identical to its execution inside Simulate.
@@ -227,29 +213,31 @@ func SimulateStage(d *Design, si int, mem *sim.Memory, opts Options) (*sim.Stats
 	if mem == nil {
 		mem = sim.NewMemory()
 	}
-	if err := validateContention(d, opts.Contention); err != nil {
+	if err := checkRunContention(d, opts); err != nil {
 		return nil, err
-	}
-	if err := validateShared(d, opts.Shared); err != nil {
-		return nil, err
-	}
-	if !opts.UnsafeProtocols {
-		if err := CheckProtocols(opts.Shared); err != nil {
-			return nil, err
-		}
 	}
 	return simulateStage(d, d.Stages[si], mem, opts)
 }
 
+// checkRunContention vets a run's contention against the design.
+// Experiments compose contention per run, after Compile has already
+// vetted the build-time specs — so the acquisition-order check runs
+// here too, against whatever protocol this run actually injects.
+func checkRunContention(d *Design, opts Options) error {
+	if err := validateContention(d, opts.Contention); err != nil {
+		return err
+	}
+	if opts.UnsafeProtocols {
+		return nil
+	}
+	return CheckProtocols(opts.Contention)
+}
+
 // simulateStage is the shared per-stage body of Simulate and
-// SimulateStage: compose this stage's contention and shared-resource
-// specs from the run options and execute the sim hot loop.
+// SimulateStage: compose this stage's contention sources from the run
+// options and execute the sim hot loop.
 func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*sim.Stats, error) {
 	contention, err := stageContention(sp, opts.Contention, opts.ContentionSeed)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := stageShared(sp, opts.Shared, opts.ContentionSeed, len(opts.Contention))
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +255,6 @@ func simulateStage(d *Design, sp *StagePlan, mem *sim.Memory, opts Options) (*si
 		DisableTraces:     opts.DisableTraces,
 		CaptureOnly:       opts.CaptureOnly,
 		Contention:        contention,
-		Shared:            shared,
 	}
 	return sim.Run(cfg)
 }

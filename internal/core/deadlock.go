@@ -28,7 +28,7 @@ func (e *DeadlockProneError) Error() string {
 		strings.Join(e.Cycle, " -> "))
 }
 
-// CheckProtocols verifies that the correlated sources' acquisition
+// CheckProtocols verifies that the contention sources' acquisition
 // orders embed in one global resource order — the classical
 // ordered-acquisition deadlock-avoidance discipline. Each spec holds
 // every earlier resource in its Resources list while it waits for the
@@ -36,9 +36,9 @@ func (e *DeadlockProneError) Error() string {
 // hold-and-wait graph; a cycle in it means two sources can block each
 // other forever. Returns a *DeadlockProneError naming the first cycle
 // (deterministically chosen), or nil for protocols that admit a global
-// order. Single-resource contention cannot hold-and-wait and never
-// contributes edges.
-func CheckProtocols(specs []SharedContentionSpec) error {
+// order. Single-resource specs cannot hold-and-wait and contribute no
+// edges.
+func CheckProtocols(specs []ContentionSpec) error {
 	// next[u] collects the resources some source waits for while
 	// holding u.
 	next := map[string][]string{}

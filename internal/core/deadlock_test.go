@@ -11,13 +11,13 @@ import (
 	"sparcs/internal/sim"
 )
 
-func mustShared(t *testing.T, spec string) []SharedContentionSpec {
+func mustContention(t *testing.T, spec string) []ContentionSpec {
 	t.Helper()
-	_, shared, err := ParseMixedContention(spec)
+	specs, err := ParseContention(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return shared
+	return specs
 }
 
 // TestCheckProtocols pins the acquisition-order checker: protocols that
@@ -45,12 +45,12 @@ func TestCheckProtocols(t *testing.T) {
 			// The grammar itself rejects a repeated resource inside one
 			// spec (DuplicateResourceError), so a one-source cycle cannot
 			// even be expressed; nothing for CheckProtocols to do.
-			if _, _, err := ParseMixedContention("M1+M3+M1=corr:0.25"); err == nil {
+			if _, err := ParseContention("M1+M3+M1=corr:0.25"); err == nil {
 				t.Error("duplicate resource inside one spec should not parse")
 			}
 			continue
 		}
-		err := CheckProtocols(mustShared(t, tc.spec))
+		err := CheckProtocols(mustContention(t, tc.spec))
 		if tc.cycle == nil {
 			if err != nil {
 				t.Errorf("%s: unexpected rejection: %v", tc.name, err)
@@ -75,7 +75,7 @@ func TestCheckProtocols(t *testing.T) {
 // the watchdog still fires there).
 func TestCompileRejectsDeadlockProneProtocol(t *testing.T) {
 	opts := paperOpts()
-	opts.Shared = mustShared(t, "M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1")
+	opts.Contention = mustContention(t, "M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1")
 	opts.Partition.ExpectedContention = map[string]int{}
 	_, err := Compile(fft.Taskgraph(), rc.Wildforce(), fft.Programs(2), opts)
 	var dp *DeadlockProneError
@@ -102,7 +102,7 @@ func TestCompileRejectsDeadlockProneProtocol(t *testing.T) {
 func TestSimulateRejectsDeadlockProneProtocol(t *testing.T) {
 	d, mem, _ := compileFFT(t, 2, paperOpts())
 	opts := paperOpts()
-	opts.Shared = mustShared(t, "M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1")
+	opts.Contention = mustContention(t, "M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1")
 	opts.MaxCyclesPerStage = 20_000
 	_, err := Simulate(d, mem, opts)
 	var dp *DeadlockProneError
@@ -117,7 +117,7 @@ func TestSimulateRejectsDeadlockProneProtocol(t *testing.T) {
 func TestSafeSharedProtocolUnaffected(t *testing.T) {
 	mk := func(unsafe bool) *sim.Stats {
 		opts := paperOpts()
-		opts.Shared = mustShared(t, "M1+M3=corr:0.25/1")
+		opts.Contention = mustContention(t, "M1+M3=corr:0.25/1")
 		opts.ContentionSeed = 3
 		opts.UnsafeProtocols = unsafe
 		d, mem, _ := compileFFT(t, 2, opts)

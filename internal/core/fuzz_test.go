@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// fuzzContentionSeeds is the seed corpus for the single-resource
-// grammar: every documented form, the /lines corners, and
-// representative junk.
+// fuzzContentionSeeds is the seed corpus for single-resource entries:
+// every documented form, the /lines corners, the duplicate-resource
+// rules, and representative junk.
 func fuzzContentionSeeds() []string {
 	return []string{
 		"", " ", "M1=hog", "M1=hog/2", "M1=bernoulli:0.50", "M3=bursty",
@@ -21,7 +21,8 @@ func fuzzContentionSeeds() []string {
 	}
 }
 
-// fuzzSharedSeeds is the seed corpus for the correlated grammar.
+// fuzzSharedSeeds is the seed corpus for correlated (multi-resource)
+// entries.
 func fuzzSharedSeeds() []string {
 	return []string{
 		"", "M1+M3=corr", "M1+M3=corr:0.25", "M1+M3=corr:0.25/2",
@@ -33,7 +34,8 @@ func fuzzSharedSeeds() []string {
 	}
 }
 
-// fuzzMixedSeeds covers the one-flag front end mixing both grammars.
+// fuzzMixedSeeds is the seed corpus for lists mixing both entry forms;
+// they put a '+' on either side of the single-vs-correlated boundary.
 func fuzzMixedSeeds() []string {
 	return []string{
 		"", "M1=hog,M1+M3=corr:0.25", "M1+M3=corr,M1=hog/2",
@@ -44,19 +46,16 @@ func fuzzMixedSeeds() []string {
 	}
 }
 
-// canonContention renders the canonical comma-joined form of a parsed
-// single-resource spec list.
-func canonContention(specs []ContentionSpec) string {
-	parts := make([]string, len(specs))
-	for i, cs := range specs {
-		parts[i] = cs.String()
-	}
-	return strings.Join(parts, ",")
+// allContentionSeeds joins the three corpora: single, correlated, then
+// mixed.
+func allContentionSeeds() []string {
+	all := append(fuzzContentionSeeds(), fuzzSharedSeeds()...)
+	return append(all, fuzzMixedSeeds()...)
 }
 
-// canonShared renders the canonical comma-joined form of a parsed
-// shared spec list.
-func canonShared(specs []SharedContentionSpec) string {
+// canonContention renders the canonical comma-joined form of a parsed
+// spec list.
+func canonContention(specs []ContentionSpec) string {
 	parts := make([]string, len(specs))
 	for i, cs := range specs {
 		parts[i] = cs.String()
@@ -99,80 +98,12 @@ func checkContentionRoundTrip(t *testing.T, s string) {
 	}
 }
 
-// checkSharedRoundTrip is the same property for ParseSharedContention.
-func checkSharedRoundTrip(t *testing.T, s string) {
-	t.Helper()
-	specs, err := ParseSharedContention(s)
-	if err != nil {
-		if specs != nil {
-			t.Fatalf("ParseSharedContention(%q) returned both specs and error %v", s, err)
-		}
-		if !strings.Contains(err.Error(), "core:") {
-			t.Fatalf("ParseSharedContention(%q) error %q lacks the package prefix", s, err)
-		}
-		return
-	}
-	if len(specs) == 0 {
-		if strings.TrimSpace(s) != "" {
-			t.Fatalf("ParseSharedContention(%q) accepted non-blank input with no specs", s)
-		}
-		return
-	}
-	canon := canonShared(specs)
-	specs2, err := ParseSharedContention(canon)
-	if err != nil {
-		t.Fatalf("canonical form %q of %q does not reparse: %v", canon, s, err)
-	}
-	if !reflect.DeepEqual(specs, specs2) {
-		t.Fatalf("round trip diverges for %q: %+v -> %q -> %+v", s, specs, canon, specs2)
-	}
-	if got := canonShared(specs2); got != canon {
-		t.Fatalf("String is not a fixed point for %q: %q -> %q", s, canon, got)
-	}
-}
-
-// checkMixedRoundTrip covers ParseMixedContention: the split into
-// single and shared lists must itself round-trip through the joined
-// canonical form (singles first, then shared — reclassification is
-// stable because only shared entries contain '+' left of '=').
-func checkMixedRoundTrip(t *testing.T, s string) {
-	t.Helper()
-	single, shared, err := ParseMixedContention(s)
-	if err != nil {
-		if single != nil || shared != nil {
-			t.Fatalf("ParseMixedContention(%q) returned specs alongside error %v", s, err)
-		}
-		if !strings.Contains(err.Error(), "core:") {
-			t.Fatalf("ParseMixedContention(%q) error %q lacks the package prefix", s, err)
-		}
-		return
-	}
-	if len(single) == 0 && len(shared) == 0 {
-		return
-	}
-	var parts []string
-	if c := canonContention(single); c != "" {
-		parts = append(parts, c)
-	}
-	if c := canonShared(shared); c != "" {
-		parts = append(parts, c)
-	}
-	canon := strings.Join(parts, ",")
-	single2, shared2, err := ParseMixedContention(canon)
-	if err != nil {
-		t.Fatalf("canonical form %q of %q does not reparse: %v", canon, s, err)
-	}
-	if !reflect.DeepEqual(single, single2) || !reflect.DeepEqual(shared, shared2) {
-		t.Fatalf("round trip diverges for %q via %q:\n singles %+v -> %+v\n shared  %+v -> %+v",
-			s, canon, single, single2, shared, shared2)
-	}
-}
-
-// FuzzParseContention fuzzes the single-resource contention grammar:
+// fuzzContention registers seeds and fuzzes the contention grammar:
 // no input may panic, and every accepted input must round-trip through
-// its canonical String() form. CI smokes this with a short -fuzztime.
-func FuzzParseContention(f *testing.F) {
-	for _, s := range fuzzContentionSeeds() {
+// its canonical String() form. CI smokes the targets with a short
+// -fuzztime.
+func fuzzContention(f *testing.F, seeds []string) {
+	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -180,46 +111,22 @@ func FuzzParseContention(f *testing.F) {
 	})
 }
 
-// FuzzParseSharedContention fuzzes the correlated grammar under the
-// same never-panic/round-trip property.
-func FuzzParseSharedContention(f *testing.F) {
-	for _, s := range fuzzSharedSeeds() {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		checkSharedRoundTrip(t, s)
-	})
-}
+// FuzzParseContention starts from single-resource entries.
+func FuzzParseContention(f *testing.F) { fuzzContention(f, fuzzContentionSeeds()) }
 
-// FuzzParseMixedContention fuzzes the mixed front-end grammar; seeds
-// include both sub-grammars' corpora so the classifier boundary (a '+'
-// left of '=') gets exercised from both sides.
-func FuzzParseMixedContention(f *testing.F) {
-	for _, s := range fuzzContentionSeeds() {
-		f.Add(s)
-	}
-	for _, s := range fuzzSharedSeeds() {
-		f.Add(s)
-	}
-	for _, s := range fuzzMixedSeeds() {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		checkMixedRoundTrip(t, s)
-	})
-}
+// FuzzParseSharedContention starts from correlated entries.
+func FuzzParseSharedContention(f *testing.F) { fuzzContention(f, fuzzSharedSeeds()) }
 
-// TestContentionGrammarSeedCorpus runs the fuzz properties over the
-// seed corpora in plain `go test`, so the round-trip invariants are
-// enforced on every run, not only when the fuzzer is invoked.
+// FuzzParseMixedContention starts from every corpus, so the boundary
+// between the two entry forms (a '+' left of '=') gets exercised from
+// both sides.
+func FuzzParseMixedContention(f *testing.F) { fuzzContention(f, allContentionSeeds()) }
+
+// TestContentionGrammarSeedCorpus runs the fuzz property over the seed
+// corpora in plain `go test`, so the round-trip invariants are enforced
+// on every run, not only when the fuzzer is invoked.
 func TestContentionGrammarSeedCorpus(t *testing.T) {
-	for _, s := range fuzzContentionSeeds() {
+	for _, s := range allContentionSeeds() {
 		checkContentionRoundTrip(t, s)
-	}
-	for _, s := range fuzzSharedSeeds() {
-		checkSharedRoundTrip(t, s)
-	}
-	for _, s := range append(fuzzContentionSeeds(), append(fuzzSharedSeeds(), fuzzMixedSeeds()...)...) {
-		checkMixedRoundTrip(t, s)
 	}
 }

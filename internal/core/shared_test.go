@@ -10,23 +10,23 @@ import (
 )
 
 func TestParseSharedContentionGrammar(t *testing.T) {
-	specs, err := ParseSharedContention("M1+M3=corr:0.25/2, M1+M2+M3=corr")
+	specs, err := ParseContention("M1+M3=corr:0.25/2, M1+M2+M3=corr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) != 2 {
 		t.Fatalf("parsed %d specs", len(specs))
 	}
-	if !reflect.DeepEqual(specs[0].Resources, []string{"M1", "M3"}) || specs[0].Workload != "corr:0.25" || specs[0].Lanes != 2 {
+	if !reflect.DeepEqual(specs[0].Resources, []string{"M1", "M3"}) || specs[0].Workload != "corr:0.25" || specs[0].Lines != 2 {
 		t.Fatalf("spec 0 = %+v", specs[0])
 	}
 	if got := specs[0].String(); got != "M1+M3=corr:0.25/2" {
 		t.Fatalf("String() = %q", got)
 	}
-	if len(specs[1].Resources) != 3 || specs[1].Lanes != 1 {
+	if len(specs[1].Resources) != 3 || specs[1].Lines != 1 {
 		t.Fatalf("spec 1 = %+v", specs[1])
 	}
-	if out, err := ParseSharedContention("   "); err != nil || out != nil {
+	if out, err := ParseContention("   "); err != nil || out != nil {
 		t.Fatalf("blank spec: %v %v", out, err)
 	}
 	for _, bad := range []string{
@@ -36,57 +36,63 @@ func TestParseSharedContentionGrammar(t *testing.T) {
 		"M1+M3=corr/0",      // bad lane count
 		"M1+M3=corr/x",      // bad lane count
 		"M1+M3=bursty",      // not a shared shape
-		"M1=corr",           // one resource (ParseSharedContention path)
+		"M1=corr",           // one resource: corr is not a single-resource shape
 		"M1+M1=corr",        // duplicate resource
 		"M1+M3=corr:oops",   // bad rate
 		"M1+M3=corr:0.5:no", // bad hold
 	} {
-		if _, err := ParseSharedContention(bad); err == nil {
+		if _, err := ParseContention(bad); err == nil {
 			t.Errorf("spec %q should error", bad)
 		}
 	}
 }
 
+// TestParseMixedContention: one list mixes single-resource and
+// correlated entries, kept in the order given; composed() lays them out
+// singles first, then correlated, each group in order.
 func TestParseMixedContention(t *testing.T) {
-	single, shared, err := ParseMixedContention("M1=hog/2, M1+M3=corr:0.30/1, M3=bernoulli:0.50")
+	specs, err := ParseContention("M1=hog/2, M1+M3=corr:0.30/1, M3=bernoulli:0.50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(single) != 2 || single[0].Resource != "M1" || single[0].Workload != "hog" || single[0].Lines != 2 {
-		t.Fatalf("single = %+v", single)
+	want := []ContentionSpec{
+		{Resources: []string{"M1"}, Workload: "hog", Lines: 2},
+		{Resources: []string{"M1", "M3"}, Workload: "corr:0.30", Lines: 1},
+		{Resources: []string{"M3"}, Workload: "bernoulli:0.50", Lines: 1},
 	}
-	if len(shared) != 1 || !reflect.DeepEqual(shared[0].Resources, []string{"M1", "M3"}) {
-		t.Fatalf("shared = %+v", shared)
+	if !reflect.DeepEqual(specs, want) {
+		t.Fatalf("parsed %+v, want %+v", specs, want)
 	}
-	if s, sh, err := ParseMixedContention(""); err != nil || s != nil || sh != nil {
-		t.Fatalf("blank: %v %v %v", s, sh, err)
+	if got := composed(specs); !reflect.DeepEqual(got, []ContentionSpec{want[0], want[2], want[1]}) {
+		t.Fatalf("composed order %+v", got)
+	}
+	if s, err := ParseContention(""); err != nil || s != nil {
+		t.Fatalf("blank: %v %v", s, err)
 	}
 	for _, bad := range []string{"M1+M3=nope", "M1=notashape", "M1+M3"} {
-		if _, _, err := ParseMixedContention(bad); err == nil {
+		if _, err := ParseContention(bad); err == nil {
 			t.Errorf("spec %q should error", bad)
 		}
 	}
 }
 
 func TestSharedLinesAndExpected(t *testing.T) {
-	shared, err := ParseSharedContention("M1+M3=corr:0.25/2")
+	specs, err := ParseContention("M1+M3=corr:0.25/2,M1=hog/1,M2=silent/3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := ParseContention("M1=hog/1,M2=silent/3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := expectedLines(Options{Contention: single, Shared: shared})
+	// A zero Lines means one line.
+	specs = append(specs, ContentionSpec{Resources: []string{"M4"}, Workload: "hog"})
+	extra := PhantomLines(specs)
 	// hog adds 1 on M1, silent is elided, corr adds 2 lanes to M1 and M3.
-	want := map[string]int{"M1": 3, "M3": 2}
+	want := map[string]int{"M1": 3, "M3": 2, "M4": 1}
 	if !reflect.DeepEqual(extra, want) {
-		t.Fatalf("expectedLines = %v, want %v", extra, want)
+		t.Fatalf("PhantomLines = %v, want %v", extra, want)
 	}
 }
 
 // fakeDesign builds a Design skeleton with the given per-stage arbiter
-// resource lists, enough for validateShared/StageWidths.
+// resource lists, enough for validateContention/StageWidths.
 func fakeDesign(stages ...[]string) *Design {
 	d := &Design{}
 	for _, resources := range stages {
@@ -106,11 +112,11 @@ func TestValidateSharedRequiresCoArbitration(t *testing.T) {
 	// correlated source spanning them is meaningless and must be
 	// rejected, not silently skipped.
 	d := fakeDesign([]string{"M1"}, []string{"M3"})
-	specs, err := ParseSharedContention("M1+M3=corr")
+	specs, err := ParseContention("M1+M3=corr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = validateShared(d, specs)
+	err = validateContention(d, specs)
 	if err == nil {
 		t.Fatal("want an error for never-co-arbitrated resources")
 	}
@@ -118,22 +124,36 @@ func TestValidateSharedRequiresCoArbitration(t *testing.T) {
 		t.Fatalf("unhelpful error: %v", err)
 	}
 	// Together in stage 0: fine.
-	if err := validateShared(fakeDesign([]string{"M1", "M3"}, []string{"M3"}), specs); err != nil {
+	if err := validateContention(fakeDesign([]string{"M1", "M3"}, []string{"M3"}), specs); err != nil {
 		t.Fatal(err)
+	}
+	// The single-resource case of the same check names the resource and
+	// what is arbitrated; a spec spanning nothing cannot be hosted.
+	for _, tc := range []struct {
+		spec ContentionSpec
+		want string
+	}{
+		{ContentionSpec{Resources: []string{"M9"}, Workload: "hog"}, "M9 is not arbitrated in any stage (arbitrated: M1, M3)"},
+		{ContentionSpec{Workload: "hog"}, "spans no resources"},
+	} {
+		err := validateContention(d, []ContentionSpec{tc.spec})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: error %v, want %q", tc.spec, err, tc.want)
+		}
 	}
 }
 
 func TestStageWidths(t *testing.T) {
 	d := fakeDesign([]string{"M1", "M3"}, []string{"M3"})
-	single, shared, err := ParseMixedContention("M1=hog/2,M1+M3=corr:0.30/1")
+	specs, err := ParseContention("M1=hog/2,M1+M3=corr:0.30/1,M3=silent/4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	widths := StageWidths(d, Options{Contention: single, Shared: shared})
+	widths := StageWidths(d, Options{Contention: specs})
 	// Stage 0: M1 = 3 members + 2 hog + 1 corr lane; M3 = 3 members + 1
-	// corr lane. Stage 1 hosts no corr source (M1 missing): M3 = 3
-	// members only... but the hog spec attaches wherever M1 is
-	// arbitrated, which stage 1 doesn't.
+	// corr lane (the silent source is elided). Stage 1 hosts no corr
+	// source (M1 missing): M3 = 3 members only... but the hog spec
+	// attaches wherever M1 is arbitrated, which stage 1 doesn't.
 	want := []map[string]int{
 		{"M1": 6, "M3": 4},
 		{"M3": 3},
@@ -150,7 +170,7 @@ func TestStageWidths(t *testing.T) {
 func TestSharedContentionFFTEndToEnd(t *testing.T) {
 	opts := paperOpts()
 	var err error
-	if opts.Contention, opts.Shared, err = ParseMixedContention("M1+M3=corr:0.30/1"); err != nil {
+	if opts.Contention, err = ParseContention("M1+M3=corr:0.30/1"); err != nil {
 		t.Fatal(err)
 	}
 	opts.ContentionSeed = 11
@@ -207,7 +227,7 @@ func TestSharedContentionFFTEndToEnd(t *testing.T) {
 func TestSharedContentionDeterministic(t *testing.T) {
 	opts := paperOpts()
 	var err error
-	if _, opts.Shared, err = ParseMixedContention("M1+M3=corr:0.30/2"); err != nil {
+	if opts.Contention, err = ParseContention("M1+M3=corr:0.30/2"); err != nil {
 		t.Fatal(err)
 	}
 	// Two lanes widen M1 past PE1's CLB budget under the derived
@@ -235,7 +255,7 @@ func TestSharedContentionDeterministic(t *testing.T) {
 func TestSharedContentionDeadlockAdjacent(t *testing.T) {
 	opts := paperOpts()
 	var err error
-	if _, opts.Shared, err = ParseMixedContention("M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1"); err != nil {
+	if opts.Contention, err = ParseContention("M1+M3=corr:0.90:64/1,M3+M1=corr:0.90:64/1"); err != nil {
 		t.Fatal(err)
 	}
 	// The two extra M1 lanes overflow PE1 under contention-aware area
@@ -277,15 +297,15 @@ func TestSharedContentionDeadlockAdjacent(t *testing.T) {
 	}
 }
 
-// TestSharedContentionSilentElision: a statically silent shared source
-// must not exist — the corr grammar has no zero rate — but wiring an
-// explicitly silent generator through sim directly is elided; here we
-// pin the cheaper core-level guarantee that empty Shared changes
-// nothing.
+// TestSharedContentionEmptyIsNoOp: a statically silent correlated
+// source cannot be expressed — the corr grammar has no zero rate — but
+// wiring an explicitly silent generator through sim directly is elided;
+// here we pin the cheaper core-level guarantee that an empty contention
+// list changes nothing.
 func TestSharedContentionEmptyIsNoOp(t *testing.T) {
 	base, segsA := runFFT(t, paperOpts())
 	opts := paperOpts()
-	opts.Shared = nil
+	opts.Contention = nil
 	opts.ContentionSeed = 99 // irrelevant without sources
 	with, segsB := runFFT(t, opts)
 	if !reflect.DeepEqual(base, with) || !reflect.DeepEqual(segsA, segsB) {

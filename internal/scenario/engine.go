@@ -431,12 +431,19 @@ func (e *engine) startStage(j *job) error {
 			var specs []core.ContentionSpec
 			for _, arb := range ci.design.Stages[j.stage].Inserted.Arbiters {
 				specs = append(specs, core.ContentionSpec{
-					Resource: arb.Resource,
-					Workload: e.cfg.CrossContention,
-					Lines:    lines,
+					Resources: []string{arb.Resource},
+					Workload:  e.cfg.CrossContention,
+					Lines:     lines,
 				})
 			}
 			if len(specs) > 0 {
+				// Cross-resident load takes the place of the class's
+				// single-resource sources; its correlated ones stay.
+				for _, cs := range opts.Contention {
+					if len(cs.Resources) > 1 {
+						specs = append(specs, cs)
+					}
+				}
 				opts.Contention = specs
 				opts.ContentionSeed = e.cfg.seed() +
 					uint64(j.id+1)*0x9e3779b97f4a7c15 +

@@ -191,6 +191,57 @@ func (e *UnknownDesignError) Error() string {
 	return fmt.Sprintf("service: unknown design %q (registered: fft)", e.Design)
 }
 
+// Request size caps: one request may not hold an admission slot for
+// longer than these allow. They are fixed, not configurable, so a served
+// body stays reproducible offline under the same caps.
+const (
+	// MaxCycles caps run.maxCycles — the simulator's default watchdog,
+	// which a request omitting maxCycles already runs under.
+	MaxCycles = 10_000_000
+	// MaxTiles caps tiles, the fft design's input size.
+	MaxTiles = 64
+	// MaxSweepExperiments caps a sweep's experiments list.
+	MaxSweepExperiments = 64
+)
+
+// LimitError rejects a request field above its fixed cap (MaxCycles,
+// MaxTiles or MaxSweepExperiments). The server answers it with 422
+// over-limit before admitting any work.
+type LimitError struct {
+	// Field is the request field's wire name ("tiles", "maxCycles",
+	// "experiments").
+	Field string
+	Limit int
+	Got   int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("service: %s = %d exceeds the limit of %d", e.Field, e.Got, e.Limit)
+}
+
+// checkLimits vets a request's tiles and every run's maxCycles against
+// the caps.
+func checkLimits(tiles int, runs ...RunSpec) error {
+	if tiles > MaxTiles {
+		return &LimitError{Field: "tiles", Limit: MaxTiles, Got: tiles}
+	}
+	for _, r := range runs {
+		if r.MaxCycles > MaxCycles {
+			return &LimitError{Field: "maxCycles", Limit: MaxCycles, Got: r.MaxCycles}
+		}
+	}
+	return nil
+}
+
+// checkSweepLimits vets a sweep's experiment count, then its tiles and
+// every experiment's maxCycles.
+func checkSweepLimits(req SweepRequest) error {
+	if n := len(req.Experiments); n > MaxSweepExperiments {
+		return &LimitError{Field: "experiments", Limit: MaxSweepExperiments, Got: n}
+	}
+	return checkLimits(req.Tiles, req.Experiments...)
+}
+
 // designInputs resolves a request's design reference to the Build
 // inputs. Every call returns fresh values; equality across calls is
 // exactly what DesignHash certifies.
@@ -261,6 +312,9 @@ func (s *Server) system(design string, tiles int, b BuildSpec) (sys *sparcs.Syst
 // which is the service's correctness contract: serving adds routing and
 // caching, never different results.
 func OfflineResult(req ExperimentRequest) (body []byte, hash string, err error) {
+	if err := checkLimits(req.Tiles, req.Run); err != nil {
+		return nil, "", err
+	}
 	g, board, programs, bopts, err := designInputs(req.Design, req.Tiles, req.Build)
 	if err != nil {
 		return nil, "", err
@@ -319,6 +373,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	if err := checkLimits(req.Tiles, req.Run); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "over-limit", err)
+		return
+	}
 	class := s.class(req.Class)
 	t0 := time.Now()
 	if err := s.adm.acquire(r.Context(), class); err != nil {
@@ -357,6 +415,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Experiments) == 0 {
 		writeError(w, http.StatusBadRequest, "bad-request", errors.New("service: sweep needs at least one experiment"))
+		return
+	}
+	if err := checkSweepLimits(req); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "over-limit", err)
 		return
 	}
 	class := s.class(req.Class)

@@ -358,6 +358,102 @@ func TestRequestBodyCap(t *testing.T) {
 	}
 }
 
+// TestRequestLimits: tiles, maxCycles and the sweep experiment count
+// above their caps are refused on both POST endpoints with 422
+// over-limit before any work is admitted, and the typed *LimitError
+// names the field; a request exactly at each cap is still served
+// byte-identical to OfflineResult.
+func TestRequestLimits(t *testing.T) {
+	s := newServer(t, Config{})
+	runs := func(n int) []RunSpec {
+		out := make([]RunSpec, n)
+		for i := range out {
+			out[i] = RunSpec{Contention: "M1=bernoulli:0.30/1", Seed: uint64(i + 1)}
+		}
+		return out
+	}
+	over := []struct {
+		name  string
+		path  string
+		body  any
+		field string
+	}{
+		{"experiment tiles", "/v1/experiments",
+			ExperimentRequest{Design: "fft", Tiles: MaxTiles + 1}, "tiles"},
+		{"experiment maxCycles", "/v1/experiments",
+			ExperimentRequest{Design: "fft", Tiles: 2, Run: RunSpec{MaxCycles: MaxCycles + 1}}, "maxCycles"},
+		{"sweep experiments", "/v1/sweeps",
+			SweepRequest{Design: "fft", Tiles: 2, Experiments: runs(MaxSweepExperiments + 1)}, "experiments"},
+		{"sweep tiles", "/v1/sweeps",
+			SweepRequest{Design: "fft", Tiles: MaxTiles + 1, Experiments: runs(1)}, "tiles"},
+		{"sweep maxCycles", "/v1/sweeps",
+			SweepRequest{Design: "fft", Tiles: 2, Experiments: append(runs(2), RunSpec{MaxCycles: MaxCycles + 1})}, "maxCycles"},
+	}
+	for _, tc := range over {
+		rec := post(t, s.Handler(), tc.path, tc.body)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", tc.name, rec.Code, rec.Body.String())
+		}
+		var e ErrorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != "over-limit" || !strings.Contains(e.Error, tc.field) {
+			t.Fatalf("%s: error %+v, want over-limit naming %s", tc.name, e, tc.field)
+		}
+		var err error
+		switch req := tc.body.(type) {
+		case ExperimentRequest:
+			_, _, err = OfflineResult(req)
+		case SweepRequest:
+			err = checkSweepLimits(req)
+		}
+		var lim *LimitError
+		if !errors.As(err, &lim) || lim.Field != tc.field || lim.Got <= lim.Limit {
+			t.Fatalf("%s: error %v, want a *LimitError on %s", tc.name, err, tc.field)
+		}
+	}
+	if st := statsOf(t, s); st.Served != 0 || st.Compiles != 0 {
+		t.Fatalf("over-limit requests did work: served %d, compiles %d", st.Served, st.Compiles)
+	}
+
+	for _, req := range []ExperimentRequest{
+		{Design: "fft", Tiles: MaxTiles},
+		{Design: "fft", Tiles: 2, Run: RunSpec{MaxCycles: MaxCycles}},
+	} {
+		offline, _, err := OfflineResult(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := post(t, s.Handler(), "/v1/experiments", req)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), offline) {
+			t.Fatalf("%+v at the limit: status %d, or served body differs from the offline run", req, rec.Code)
+		}
+	}
+	sweep := SweepRequest{Design: "fft", Tiles: 2, Experiments: runs(MaxSweepExperiments)}
+	sweep.Experiments[0].MaxCycles = MaxCycles
+	rec := post(t, s.Handler(), "/v1/sweeps", sweep)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep at the limit: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error != nil || len(resp.Results) != MaxSweepExperiments {
+		t.Fatalf("sweep at the limit: %d results, error %+v", len(resp.Results), resp.Error)
+	}
+	for i, rs := range sweep.Experiments {
+		offline, _, err := OfflineResult(ExperimentRequest{Design: "fft", Tiles: 2, Run: rs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Results[i], bytes.TrimSuffix(offline, []byte("\n"))) {
+			t.Fatalf("sweep result %d differs from offline run", i)
+		}
+	}
+}
+
 // TestDrainRejectsNewWork covers the graceful-shutdown half of
 // admission: after Drain, new experiments get the typed 503 and the
 // stats report draining.

@@ -9,37 +9,46 @@ import (
 	"sparcs/internal/partition"
 )
 
-// countedRequester is a closed-loop test source: it requests on its
-// single line until it has observed `want` grants through the feedback
-// vector, then goes quiet forever. It proves grants really reach the
-// generator: without feedback it would never stop requesting.
+// countedRequester is a closed-loop single-resource test source: it
+// requests on its single line until it has observed `want` grants
+// through the feedback vector, then goes quiet forever. It proves grants
+// really reach the generator: without feedback it would never stop
+// requesting.
 type countedRequester struct {
+	res      string
 	want     int
 	observed int
 }
 
-func (c *countedRequester) Name() string { return "counted" }
-func (c *countedRequester) N() int       { return 1 }
-func (c *countedRequester) Reset()       { c.observed = 0 }
+func (c *countedRequester) Name() string        { return "counted" }
+func (c *countedRequester) Resources() []string { return []string{c.res} }
+func (c *countedRequester) Lanes() int          { return 1 }
+func (c *countedRequester) Reset()              { c.observed = 0 }
 
-func (c *countedRequester) NextBits(prevGrant arbiter.BitVec) arbiter.BitVec {
-	if prevGrant.Bit(0) {
+func (c *countedRequester) NextBits(req, prevGrant []arbiter.BitVec) {
+	if prevGrant[0].Bit(0) {
 		c.observed++
 	}
+	req[0] = 0
 	if c.observed < c.want {
-		return 1
+		req[0] = 1
 	}
-	return 0
 }
 
 // quietRequester never requests but is not statically silent, so its
 // lines are wired and the policy widened.
-type quietRequester struct{ n int }
+type quietRequester struct {
+	res string
+	n   int
+}
 
-func (q *quietRequester) Name() string                           { return "quiet" }
-func (q *quietRequester) N() int                                 { return q.n }
-func (q *quietRequester) Reset()                                 {}
-func (q *quietRequester) NextBits(arbiter.BitVec) arbiter.BitVec { return 0 }
+func (q *quietRequester) Name() string        { return "quiet" }
+func (q *quietRequester) Resources() []string { return []string{q.res} }
+func (q *quietRequester) Lanes() int          { return q.n }
+func (q *quietRequester) Reset()              {}
+func (q *quietRequester) NextBits(req, _ []arbiter.BitVec) {
+	req[0] = 0
+}
 
 // silentRequester is the statically silent variant sim must elide.
 type silentRequester struct{ quietRequester }
@@ -74,8 +83,8 @@ func contendedConfig() Config {
 // served — grants demonstrably feed back into the generator.
 func TestContentionClosedLoop(t *testing.T) {
 	cfg := contendedConfig()
-	src := &countedRequester{want: 5}
-	cfg.Contention = []ContentionSource{{Resource: "bankS", Gen: src}}
+	src := &countedRequester{res: "bankS", want: 5}
+	cfg.Contention = []Requester{src}
 	stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +137,7 @@ func TestContentionSilentElision(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := contendedConfig()
-	cfg.Contention = []ContentionSource{{Resource: "bankS", Gen: &silentRequester{quietRequester{n: 2}}}}
+	cfg.Contention = []Requester{&silentRequester{quietRequester{res: "bankS", n: 2}}}
 	quiet, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -143,19 +152,19 @@ func TestContentionSilentElision(t *testing.T) {
 func TestContentionErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		src  ContentionSource
+		src  Requester
 	}{
-		{"unknown-resource", ContentionSource{Resource: "bankZ", Gen: &quietRequester{n: 1}}},
+		{"unknown-resource", &quietRequester{res: "bankZ", n: 1}},
 		// Elision must not skip validation: a typo'd resource errors
 		// even when the source is silent.
-		{"unknown-resource-silent", ContentionSource{Resource: "bankZ", Gen: &silentRequester{quietRequester{n: 1}}}},
-		{"nil-generator", ContentionSource{Resource: "bankS"}},
-		{"zero-lines", ContentionSource{Resource: "bankS", Gen: &quietRequester{n: 0}}},
+		{"unknown-resource-silent", &silentRequester{quietRequester{res: "bankZ", n: 1}}},
+		{"nil-generator", nil},
+		{"zero-lines", &quietRequester{res: "bankS", n: 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := contendedConfig()
-			cfg.Contention = []ContentionSource{tc.src}
+			cfg.Contention = []Requester{tc.src}
 			if _, err := Run(cfg); err == nil {
 				t.Fatal("expected a wiring error")
 			}
@@ -168,9 +177,9 @@ func TestContentionErrors(t *testing.T) {
 // and multiple sources on one resource stack in config order.
 func TestContentionPolicySizing(t *testing.T) {
 	cfg := contendedConfig()
-	cfg.Contention = []ContentionSource{
-		{Resource: "bankS", Gen: &quietRequester{n: 2}},
-		{Resource: "bankS", Gen: &quietRequester{n: 1}},
+	cfg.Contention = []Requester{
+		&quietRequester{res: "bankS", n: 2},
+		&quietRequester{res: "bankS", n: 1},
 	}
 	var sizes []int
 	cfg.NewPolicy = func(n int) arbiter.Policy {

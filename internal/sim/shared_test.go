@@ -156,17 +156,17 @@ func (s *silentShared) NextBits(req, _ []arbiter.BitVec) {
 func TestSharedWiringErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		gen  SharedRequester
+		gen  Requester
 	}{
 		{"nil generator", nil},
-		{"one resource", newOrderedAcquirer([]string{"bankS"}, 1, 1, 1)},
+		{"no resources", newOrderedAcquirer(nil, 1, 1, 1)},
 		{"duplicate resource", newOrderedAcquirer([]string{"bankS", "bankS"}, 1, 1, 1)},
 		{"unknown resource", newOrderedAcquirer([]string{"bankS", "bankX"}, 1, 1, 1)},
 		{"zero lanes", newOrderedAcquirer([]string{"bankS", "bankT"}, 0, 1, 1)},
 	}
 	for _, c := range cases {
 		cfg := twoBankConfig()
-		cfg.Shared = []SharedSource{{Gen: c.gen}}
+		cfg.Contention = []Requester{c.gen}
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: Run should error", c.name)
 		}
@@ -179,7 +179,7 @@ func TestSharedWiringErrors(t *testing.T) {
 // Stats.Contention for both resources.
 func TestSharedWidensPolicies(t *testing.T) {
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: newOrderedAcquirer([]string{"bankS", "bankT"}, 2, 1, 2)}}
+	cfg.Contention = []Requester{newOrderedAcquirer([]string{"bankS", "bankT"}, 2, 1, 2)}
 	sizes := map[int]int{}
 	cfg.NewPolicy = func(n int) arbiter.Policy { sizes[n]++; return arbiter.NewRoundRobin(n) }
 	stats, err := Run(cfg)
@@ -222,12 +222,42 @@ func TestSharedWidensPolicies(t *testing.T) {
 	}
 }
 
+// TestSharedMixedWithSingleResource: one list carries a single-resource
+// and a multi-resource source. Lanes stack in list order, only the
+// multi-resource source reports Stats.Shared, and both report per-line
+// counts in Stats.Contention.
+func TestSharedMixedWithSingleResource(t *testing.T) {
+	cfg := twoBankConfig()
+	single := &countedRequester{res: "bankS", want: 3}
+	cfg.Contention = []Requester{single, newOrderedAcquirer([]string{"bankS", "bankT"}, 2, 1, 2)}
+	sizes := map[int]int{}
+	cfg.NewPolicy = func(n int) arbiter.Policy { sizes[n]++; return arbiter.NewRoundRobin(n) }
+	stats, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bankS: 2 members + 1 single line + 2 lanes; bankT: 2 members + 2 lanes.
+	if !reflect.DeepEqual(sizes, map[int]int{5: 1, 4: 1}) {
+		t.Fatalf("policy sizes = %v, want {5:1 4:1}", sizes)
+	}
+	if len(stats.Shared) != 1 || stats.Shared[0].Name != "ordered" {
+		t.Fatalf("shared stats = %+v, want the multi-resource source only", stats.Shared)
+	}
+	cs := stats.Contention["bankS"]
+	if len(cs.Grants) != 3 || cs.Grants[0] != 3 || single.observed != 3 {
+		t.Fatalf("bankS phantom grants %v, single observed %d; want the single source's 3 grants on line 0", cs.Grants, single.observed)
+	}
+	if sh := stats.Shared[0]; sh.Grants[0] != cs.Grants[1]+cs.Grants[2] {
+		t.Fatalf("shared bankS grants %d != lane lines %v", sh.Grants[0], cs.Grants[1:])
+	}
+}
+
 // TestSharedStatsInvariants drives the greedy multi-resource hog and
 // checks the accounting identities: every lane-cycle on a resource is
 // either a grant or a wait, and the overlap counters are bounded.
 func TestSharedStatsInvariants(t *testing.T) {
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: &greedyShared{resources: []string{"bankS", "bankT"}, lanes: 2}}}
+	cfg.Contention = []Requester{&greedyShared{resources: []string{"bankS", "bankT"}, lanes: 2}}
 	// The greedy hog never releases, so the members starve; bound the
 	// watchdog instead of simulating ten million stuck cycles.
 	cfg.MaxCycles = 5_000
@@ -260,9 +290,9 @@ func TestSharedStatsInvariants(t *testing.T) {
 // counter exists to expose. The watchdog reports the starved members.
 func TestSharedCircularHoldWait(t *testing.T) {
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{
-		{Gen: newOrderedAcquirer([]string{"bankS", "bankT"}, 1, 0, 1_000_000)},
-		{Gen: newOrderedAcquirer([]string{"bankT", "bankS"}, 1, 0, 1_000_000)},
+	cfg.Contention = []Requester{
+		newOrderedAcquirer([]string{"bankS", "bankT"}, 1, 0, 1_000_000),
+		newOrderedAcquirer([]string{"bankT", "bankS"}, 1, 0, 1_000_000),
 	}
 	cfg.MaxCycles = 2_000
 	stats, err := Run(cfg)
@@ -302,7 +332,7 @@ func TestSharedSilentElision(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: &silentShared{greedyShared{resources: []string{"bankS", "bankT"}, lanes: 3}}}}
+	cfg.Contention = []Requester{&silentShared{greedyShared{resources: []string{"bankS", "bankT"}, lanes: 3}}}
 	quiet, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +342,7 @@ func TestSharedSilentElision(t *testing.T) {
 	}
 	// But a typo'd resource still errors even when silent.
 	cfg = twoBankConfig()
-	cfg.Shared = []SharedSource{{Gen: &silentShared{greedyShared{resources: []string{"bankS", "bankX"}, lanes: 1}}}}
+	cfg.Contention = []Requester{&silentShared{greedyShared{resources: []string{"bankS", "bankX"}, lanes: 1}}}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("silent source with unknown resource should still error")
 	}

@@ -11,10 +11,12 @@
 // to violation records.
 //
 // Background contention can be injected alongside the compiled tasks:
-// Config.Contention attaches closed-loop phantom requesters (any
-// workload.Generator) to named arbiters, widening their request vectors
-// and policies so synthetic traffic competes for grants exactly like a
-// real task — see ContentionSource.
+// Config.Contention attaches closed-loop phantom requesters to named
+// arbiters, widening their request vectors and policies so synthetic
+// traffic competes for grants exactly like a real task — see Requester.
+// A source spans one or more resources; one spanning several (a
+// workload.SharedSource) holds earlier grants while it waits for later
+// ones, and reports its cross-resource overlap in Stats.Shared.
 //
 // The per-cycle path is allocation-free: programs are precompiled so
 // every resource/segment/channel name resolves to a pointer or dense
@@ -75,20 +77,18 @@ type Config struct {
 	// need cycle/violation/grant statistics set this; Stats.ArbiterTraces
 	// then maps each resource to nil.
 	DisableTraces bool
-	// Contention attaches background phantom requesters to named
-	// arbiters: each source's lines are appended after the member
-	// tasks' request lines, the policy is constructed over the widened
+	// Contention attaches background sources to the arbiters of the
+	// resources each spans: a source's lanes are appended after the
+	// member tasks' request lines, in list order when several sources
+	// share a resource; the policy is constructed over the widened
 	// count, and grants won by phantoms are fed back into their closed
-	// loops. Statically silent sources (StaticallySilent) are elided
-	// entirely, so zero-rate contention is a byte-identical no-op.
-	Contention []ContentionSource
-	// Shared attaches correlated multi-resource background sources: one
-	// generator drives request lines on several arbiters at once, with
-	// hold-A-while-waiting-on-B semantics (see SharedRequester). Lanes
-	// append after member lines and Contention lines; cross-resource
-	// overlap/wait statistics land in Stats.Shared, per-line counts in
-	// Stats.Contention.
-	Shared []SharedSource
+	// loops. Per-line counts land in Stats.Contention, and sources
+	// spanning two or more resources also report Stats.Shared.
+	// Statically silent sources (StaticallySilent) are elided entirely,
+	// so zero-rate contention is a byte-identical no-op. Sources are
+	// stateful: each Config needs its own instances, since configs may
+	// run concurrently.
+	Contention []Requester
 	// CaptureOnly restricts trace recording to the named resources when
 	// non-nil (and DisableTraces is false): unlisted arbiters skip
 	// per-cycle recording entirely and report a nil trace, so a run that
@@ -126,10 +126,10 @@ type Stats struct {
 	// sources to its phantom-line statistics; nil when the run had no
 	// active contention, so uninstrumented Stats stay byte-identical.
 	Contention map[string]*ContentionStats
-	// Shared holds one entry per active (non-elided) shared source, in
-	// Config.Shared order: the cross-resource hold-and-wait overlap and
-	// per-resource grant/wait totals no single-resource view can report.
-	// Nil when the run had no active shared sources.
+	// Shared holds one entry per active (non-elided) source spanning two
+	// or more resources, in Config.Contention order: the cross-resource
+	// hold-and-wait overlap and per-resource grant/wait totals no
+	// single-resource view can report. Nil when the run had none.
 	Shared []*SharedStats
 }
 
@@ -155,8 +155,7 @@ type arbInst struct {
 	// them into TraceSteps once, after the run.
 	cur      []arbiter.BitVec
 	chunks   [][]arbiter.BitVec
-	sources  []contSource // background phantom requesters
-	phGrants []int        // per phantom line, flushed to Stats.Contention
+	phGrants []int // per phantom line, flushed to Stats.Contention
 	phWaits  []int
 }
 
@@ -328,12 +327,8 @@ func Run(cfg Config) (*Stats, error) {
 		arbs[spec.Resource] = ai
 	}
 	// Phantom lines widen the request words before the policies are
-	// sized: single-resource sources first, then shared multi-resource
-	// lanes.
-	if err := wireContention(cfg.Contention, arbs); err != nil {
-		return nil, err
-	}
-	shared, err := wireShared(cfg.Shared, arbs)
+	// sized.
+	sources, err := wireSources(cfg.Contention, arbs)
 	if err != nil {
 		return nil, err
 	}
@@ -399,43 +394,33 @@ func Run(cfg Config) (*Stats, error) {
 				addr: in.Addr, stride: in.Stride, n: in.N, cycles: in.Cycles,
 				val: in.Val, fn: in.Fn,
 			}
+			// arbRes names the resource whose arbiter the op touches;
+			// bank accesses and sends also contend for it as a conflict
+			// resource.
+			arbRes, conflict := "", false
 			switch in.Op {
 			case behav.OpRead, behav.OpWrite:
 				ci.seg = mem.SegID(in.Res)
 				ci.res = cfg.ResourceOfSegment[in.Res]
-				if ci.res != "" {
-					ci.conf = internConf(ci.res)
-					if ai := arbs[ci.res]; ai != nil {
-						ci.ai = ai
-						if line, isMember := ai.index[name]; isMember {
-							ci.line = line
-						}
-					}
-				}
+				arbRes, conflict = ci.res, true
 			case behav.OpSend:
 				ci.ch = chans[in.Res]
 				ci.res = cfg.ResourceOfChannel[in.Res]
-				if ci.res != "" {
-					ci.conf = internConf(ci.res)
-					if ai := arbs[ci.res]; ai != nil {
-						ci.ai = ai
-						if line, isMember := ai.index[name]; isMember {
-							ci.line = line
-						}
-					}
-				}
+				arbRes, conflict = ci.res, true
 			case behav.OpRecv:
 				ci.ch = chans[in.Res]
 			case behav.OpReq, behav.OpRelease, behav.OpWaitGrant:
-				if ai := arbs[in.Res]; ai != nil {
-					ci.ai = ai
-					if line, isMember := ai.index[name]; isMember {
-						ci.line = line
-					}
-				}
+				arbRes = in.Res
 			}
-			if ci.line >= 0 {
-				ci.lineBit = 1 << uint(ci.line)
+			if conflict && ci.res != "" {
+				ci.conf = internConf(ci.res)
+			}
+			if ai := arbs[arbRes]; ai != nil {
+				ci.ai = ai
+				if line, isMember := ai.index[name]; isMember {
+					ci.line = line
+					ci.lineBit = 1 << uint(line)
+				}
 			}
 			ts.code[i] = ci
 		}
@@ -476,21 +461,15 @@ func Run(cfg Config) (*Stats, error) {
 		}
 
 		// Phase 1: arbiters sample request lines (set by earlier cycles)
-		// and issue grants for this cycle. Phantom sources refresh their
-		// lines first, observing last cycle's grants — the closed loop.
-		// Shared sources refresh before ANY arbiter steps, so a source
-		// spanning several resources sees one coherent grant snapshot
-		// instead of a mix of old and new decisions.
-		for _, inst := range shared {
-			inst.next()
+		// and issue grants for this cycle. Background sources refresh
+		// their lines first, before ANY arbiter steps, observing last
+		// cycle's grants — the closed loop — so a source spanning several
+		// resources sees one coherent grant snapshot instead of a mix of
+		// old and new decisions.
+		for _, src := range sources {
+			src.next()
 		}
 		for _, ai := range arbList {
-			for i := range ai.sources {
-				cs := &ai.sources[i]
-				off := uint(cs.off)
-				out := cs.gen.NextBits(ai.grant >> off & cs.mask)
-				ai.req = ai.req&^(cs.mask<<off) | (out&cs.mask)<<off
-			}
 			ai.grant = ai.policy.StepBits(ai.req)
 			ai.grants += (ai.grant & ai.memberMask).Count()
 			if ai.phGrants != nil {
@@ -511,8 +490,10 @@ func Run(cfg Config) (*Stats, error) {
 		}
 		// Cross-resource overlap stats read this cycle's grants on every
 		// spanned resource, after all arbiters have stepped.
-		for _, inst := range shared {
-			inst.observe()
+		for _, src := range sources {
+			if src.stats != nil {
+				src.observe()
+			}
 		}
 
 		// Phase 2: tasks execute one cycle each.
@@ -568,6 +549,22 @@ func Run(cfg Config) (*Stats, error) {
 				continue
 			}
 
+			// Bank accesses and physical-channel sends (the only ops with a
+			// conflict resource) register as this cycle's users of it and
+			// must hold its grant when they are members of its arbiter.
+			if in.conf >= 0 {
+				if len(confUsers[in.conf]) == 0 {
+					touched = append(touched, in.conf) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
+				}
+				confUsers[in.conf] = append(confUsers[in.conf], ts.name) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
+				if in.ai != nil && in.line >= 0 && in.ai.grant&in.lineBit == 0 {
+					//sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
+					stats.Violations = append(stats.Violations, Violation{
+						Cycle: cycle, Resource: in.res, Tasks: []string{ts.name}, Kind: "no-grant", //sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
+					})
+				}
+			}
+
 			switch in.op {
 			case behav.OpCompute:
 				if ts.wait == 0 {
@@ -599,18 +596,6 @@ func Run(cfg Config) (*Stats, error) {
 					advance(ts)
 				}
 			case behav.OpRead, behav.OpWrite:
-				if in.conf >= 0 {
-					if len(confUsers[in.conf]) == 0 {
-						touched = append(touched, in.conf) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					}
-					confUsers[in.conf] = append(confUsers[in.conf], ts.name) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					if in.ai != nil && in.line >= 0 && in.ai.grant&in.lineBit == 0 {
-						//sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						stats.Violations = append(stats.Violations, Violation{
-							Cycle: cycle, Resource: in.res, Tasks: []string{ts.name}, Kind: "no-grant", //sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						})
-					}
-				}
 				addr := in.addr + ts.iter*in.stride
 				if in.op == behav.OpRead {
 					ts.buf = append(ts.buf, mem.ReadID(in.seg, addr)) //sparcs:ignore hotpath task data buffer; growth is the workload, not overhead
@@ -625,18 +610,6 @@ func Run(cfg Config) (*Stats, error) {
 				}
 				advance(ts)
 			case behav.OpSend:
-				if in.conf >= 0 {
-					if len(confUsers[in.conf]) == 0 {
-						touched = append(touched, in.conf) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					}
-					confUsers[in.conf] = append(confUsers[in.conf], ts.name) //sparcs:ignore hotpath reaches steady-state backing after the first cycles; reset in place
-					if in.ai != nil && in.line >= 0 && in.ai.grant&in.lineBit == 0 {
-						//sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						stats.Violations = append(stats.Violations, Violation{
-							Cycle: cycle, Resource: in.res, Tasks: []string{ts.name}, Kind: "no-grant", //sparcs:ignore hotpath violations are exceptional diagnostics, not steady-state work
-						})
-					}
-				}
 				v := in.val
 				if ts.bufLen() > 0 {
 					v = ts.popFront()
@@ -712,8 +685,10 @@ func Run(cfg Config) (*Stats, error) {
 			stats.Contention[ai.res] = &ContentionStats{Grants: ai.phGrants, Waits: ai.phWaits}
 		}
 	}
-	for _, inst := range shared {
-		stats.Shared = append(stats.Shared, inst.stats)
+	for _, src := range sources {
+		if src.stats != nil {
+			stats.Shared = append(stats.Shared, src.stats)
+		}
 	}
 	if !stats.Done {
 		stats.Violations = append(stats.Violations, Violation{

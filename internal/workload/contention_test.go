@@ -65,7 +65,7 @@ func TestContentionSafetyAllPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Contention = []sim.ContentionSource{{Resource: "bankS", Gen: gen}}
+				cfg.Contention = []sim.Requester{OnResource("bankS", gen)}
 				sp, err := arbiter.ParsePolicySpec(pspec)
 				if err != nil {
 					t.Fatal(err)
@@ -127,10 +127,40 @@ func TestContentionSafetyAllPolicies(t *testing.T) {
 	}
 }
 
+// TestOnResourceAdapter pins the single-resource adapter: it presents
+// the generator as a one-resource sim.Requester whose lanes are the
+// generator's lines, and steps it on the one lane word.
+func TestOnResourceAdapter(t *testing.T) {
+	gen, err := NewGenerator("hog", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := OnResource("bankS", gen)
+	if src.Name() != gen.Name() || !reflect.DeepEqual(src.Resources(), []string{"bankS"}) || src.Lanes() != 3 {
+		t.Fatalf("adapter = %s %v %d", src.Name(), src.Resources(), src.Lanes())
+	}
+	if s, ok := src.(sim.StaticallySilent); !ok || s.Silent() {
+		t.Fatal("a hog must not report statically silent")
+	}
+	twin, err := NewGenerator("hog", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, prev := make([]arbiter.BitVec, 1), make([]arbiter.BitVec, 1)
+	for cycle := 0; cycle < 8; cycle++ {
+		want := twin.NextBits(prev[0])
+		src.NextBits(req, prev)
+		if req[0] != want {
+			t.Fatalf("cycle %d: adapter requested %b, generator %b", cycle, req[0], want)
+		}
+		prev[0] = req[0] & 1
+	}
+}
+
 // TestSilentGeneratorElidedThroughSim proves the cross-package seam:
-// workload's silent generator satisfies sim.StaticallySilent
-// structurally, so attaching it through the public Config is a
-// byte-identical no-op.
+// OnResource forwards the silent generator's sim.StaticallySilent
+// marker, so attaching it through the public Config is a byte-identical
+// no-op.
 func TestSilentGeneratorElidedThroughSim(t *testing.T) {
 	plain, err := sim.Run(contentionScenario(t))
 	if err != nil {
@@ -141,7 +171,7 @@ func TestSilentGeneratorElidedThroughSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Contention = []sim.ContentionSource{{Resource: "bankS", Gen: gen}}
+	cfg.Contention = []sim.Requester{OnResource("bankS", gen)}
 	quiet, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

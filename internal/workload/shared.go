@@ -1,8 +1,9 @@
-// Correlated multi-resource sources: one generator driving request
+// Background sources for the system simulator: every source implements
+// sim.Requester, spanning one resource or several. A single-resource
+// Generator attaches through OnResource; SharedSource drives request
 // lines on several arbiters with hold-A-while-waiting-on-B semantics —
 // the deadlock-adjacent sharing pattern (a task holds bank A while it
-// waits for channel B) that no per-arbiter generator can express, and
-// the ROADMAP's multi-resource workload item.
+// waits for channel B) that no per-arbiter generator can express.
 
 package workload
 
@@ -12,10 +13,44 @@ import (
 	"strings"
 
 	"sparcs/internal/arbiter"
+	"sparcs/internal/sim"
 )
 
+// OnResource attaches a single-resource generator to the simulator as a
+// background source on the named resource's arbiter: the one-resource
+// case of sim.Requester, whose lanes are the generator's N() lines. It
+// forwards the generator's Silent() marker, so a statically silent
+// generator is still elided.
+func OnResource(resource string, g Generator) sim.Requester {
+	return &onResource{gen: g, resources: []string{resource}}
+}
+
+// onResource is the adapter behind OnResource.
+type onResource struct {
+	gen       Generator
+	resources []string
+}
+
+func (o *onResource) Name() string        { return o.gen.Name() }
+func (o *onResource) Resources() []string { return o.resources }
+func (o *onResource) Lanes() int          { return o.gen.N() }
+func (o *onResource) Reset()              { o.gen.Reset() }
+
+// Silent reports whether the wrapped generator is statically silent.
+func (o *onResource) Silent() bool {
+	s, ok := o.gen.(sim.StaticallySilent)
+	return ok && s.Silent()
+}
+
+// NextBits steps the wrapped generator on the one resource's lane word.
+//
+//sparcs:hotpath
+func (o *onResource) NextBits(req, prevGrant []arbiter.BitVec) {
+	req[0] = o.gen.NextBits(prevGrant[0])
+}
+
 // SharedSource is a closed-loop generator spanning several arbitrated
-// resources; it implements sim.SharedRequester. It runs Lanes()
+// resources; it implements sim.Requester. It runs Lanes()
 // independent jobs, each claiming one request line on every resource.
 //
 // A lane's lifecycle is the classic hold-and-wait protocol:
@@ -117,7 +152,7 @@ func (s *SharedSource) Reset() {
 
 // NextBits advances every lane one cycle: consume last cycle's grants
 // prevGrant[r], then rewrite req[r] in place, bit j of each word being
-// lane j's line on resource r. It implements sim.SharedRequester and is
+// lane j's line on resource r. It implements sim.Requester and is
 // allocation-free.
 //
 //sparcs:hotpath

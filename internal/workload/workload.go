@@ -24,9 +24,8 @@ import (
 
 // Generator produces one request word per cycle. Implementations must
 // be deterministic: Reset followed by the same grant feedback replays
-// the identical request stream. It is structurally identical to
-// sim.Requester, so any generator attaches to a simulation as
-// background contention without an import cycle.
+// the identical request stream. OnResource attaches any generator to a
+// simulation as single-resource background contention.
 type Generator interface {
 	BitGenerator
 	// Name identifies the shape with its parameters ("bernoulli:0.30").

@@ -24,11 +24,12 @@
 //
 // WithPolicy swaps the arbitration policy (validated against every
 // arbiter's simulated width up front), WithContention injects
-// single-resource phantom requesters and correlated hold-A-while-
-// waiting-on-B sources (cross-resource overlap/wait stats in
-// Result.SharedStats), WithCapture taps per-cycle request/grant traces
+// background sources, WithCapture taps per-cycle request/grant traces
 // for capture→replay experiments, and WithSeed/WithMaxCycles/WithMemory
-// pin determinism, watchdogs, and memory images. Runs are independent
+// pin determinism, watchdogs, and memory images. A background source
+// spans one resource or several; one spanning several holds earlier
+// grants while waiting on later ones and reports cross-resource
+// overlap/wait stats in Result.SharedStats. Runs are independent
 // and safe to issue concurrently; System.Sweep fans a slice of
 // experiment option-sets over GOMAXPROCS workers.
 //
@@ -157,30 +158,18 @@ func CaptureColumn(name string, steps []arbiter.TraceStep) (WorkloadColumn, erro
 	return workload.FromArbiterTrace(name, steps)
 }
 
-// ContentionSpec asks a run to inject one background phantom requester
-// alongside the compiled tasks (see core.ContentionSpec and the
-// "resource=workload[/lines]" grammar of ParseContention).
+// ContentionSpec asks a run to inject one background source alongside
+// the compiled tasks: a workload on one resource's arbiter, or one
+// correlated source spanning several with hold-A-while-waiting-on-B
+// acquisition (see core.ContentionSpec and the
+// "res1[+res2...]=workload[/lines]" grammar of ParseContention).
 type ContentionSpec = core.ContentionSpec
 
-// SharedContentionSpec asks a run to inject one correlated
-// multi-resource background source: a single generator spanning several
-// arbiters with hold-A-while-waiting-on-B acquisition (see
-// core.SharedContentionSpec and the "res1+res2=workload[/lanes]" grammar
-// of ParseSharedContention).
-type SharedContentionSpec = core.SharedContentionSpec
-
-// ParseContention parses a comma-separated contention spec list, e.g.
-// "M1=hog/2,M3=bernoulli:0.50", the single-resource grammar of
-// WithContention.
+// ParseContention parses a comma-separated contention spec list in the
+// full WithContention grammar, e.g.
+// "M1=hog/2,M3=bernoulli:0.50,M1+M3=corr:0.25/2".
 func ParseContention(s string) ([]ContentionSpec, error) {
 	return core.ParseContention(s)
-}
-
-// ParseSharedContention parses a comma-separated correlated contention
-// spec list, e.g. "M1+M3=corr:0.25/2", the correlated grammar of
-// WithContention.
-func ParseSharedContention(s string) ([]SharedContentionSpec, error) {
-	return core.ParseSharedContention(s)
 }
 
 // ArbiterVHDL renders the N-input round-robin arbiter as synthesizable

@@ -288,7 +288,7 @@ func TestContentionPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 1 || specs[0].Resource != "M1" || specs[0].Workload != "bursty" || specs[0].Lines != 2 {
+	if len(specs) != 1 || len(specs[0].Resources) != 1 || specs[0].Resources[0] != "M1" || specs[0].Workload != "bursty" || specs[0].Lines != 2 {
 		t.Fatalf("parsed %+v", specs)
 	}
 	// Contention-aware partitioning prices M1's arbiter at its simulated

@@ -111,18 +111,14 @@ func WithArbiterArea(area func(n int) int) BuildOption {
 // WithUnsafeProtocols.)
 func WithExpectedContention(spec string) BuildOption {
 	return func(c *buildConfig) error {
-		single, shared, err := core.ParseMixedContention(spec)
+		specs, err := core.ParseContention(spec)
 		if err != nil {
 			return err
 		}
-		if err := core.CheckProtocols(shared); err != nil {
+		if err := core.CheckProtocols(specs); err != nil {
 			return err
 		}
-		extra := core.PhantomLines(single)
-		for r, n := range core.SharedLines(shared) {
-			extra[r] += n
-		}
-		c.opts.Partition.ExpectedContention = extra
+		c.opts.Partition.ExpectedContention = core.PhantomLines(specs)
 		return nil
 	}
 }
@@ -221,25 +217,24 @@ func WithPolicy(spec string) RunOption {
 }
 
 // WithContention injects background load alongside the compiled tasks.
-// The spec is a comma-separated list mixing both contention grammars:
+// The spec is a comma-separated list of sources, each spanning one
+// resource or several:
 //
-//	resource=workload[/lines]        one arbiter  ("M1=hog/2")
-//	res1+res2[+..]=workload[/lanes]  correlated   ("M1+M3=corr:0.25/1")
+//	res1[+res2...]=workload[/lines]  ("M1=hog/2", "M1+M3=corr:0.25/1")
 //
-// Single-resource sources attach a closed-loop workload generator to one
-// arbiter. Correlated sources drive several arbiters from ONE generator
-// with hold-A-while-waiting-on-B acquisition in listed order — the
-// deadlock-adjacent multi-resource pattern — and report cross-resource
-// overlap/wait statistics (Result.SharedStats). Repeating the option
-// appends sources.
+// A source on one resource attaches a closed-loop workload generator to
+// its arbiter. A source on several drives all their arbiters from ONE
+// generator with hold-A-while-waiting-on-B acquisition in listed order —
+// the deadlock-adjacent multi-resource pattern — and reports
+// cross-resource overlap/wait statistics (Result.SharedStats).
+// Repeating the option appends sources.
 func WithContention(spec string) RunOption {
 	return func(c *runConfig) error {
-		single, shared, err := core.ParseMixedContention(spec)
+		specs, err := core.ParseContention(spec)
 		if err != nil {
 			return err
 		}
-		c.opts.Contention = append(c.opts.Contention, single...)
-		c.opts.Shared = append(c.opts.Shared, shared...)
+		c.opts.Contention = append(c.opts.Contention, specs...)
 		return nil
 	}
 }
